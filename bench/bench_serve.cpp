@@ -19,13 +19,19 @@
 // compressed bytes actually on the wire against the logical bytes delivered
 // and the resend-everything baseline a non-progressive protocol would move.
 //
+// The daemon block also sweeps 1, 2, 4 and 8 closed-loop clients and reports
+// per-request latency (p50/p99 over kLatencyRequests requests each, plan
+// round trip through local decode) as serve.daemon.latency.
+//
 // A fourth block measures the v4 integrity machinery itself: checksum64
 // (word-parallel XXH64) over every segment payload of the bench archive,
 // reported as serve.integrity.verify_gbps — CI asserts it is present and
 // nonzero, pinning the claim that per-read verification rides at memory
 // bandwidth next to decode cost.
+#include <algorithm>
 #include <barrier>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -148,13 +154,16 @@ struct DaemonResult {
   std::uint64_t wire_bytes = 0;     // compressed payload bytes on the wire
   std::uint64_t logical_bytes = 0;  // sum of planned bytes_new (ledger bytes)
   std::uint64_t resend_bytes = 0;   // resend-full-state-per-step baseline
+  std::vector<double> latency_ms;   // one per request, plan through decode
   std::vector<std::vector<double>> outputs;
 };
 
 /// The shared-mode schedule replayed by remote clients over one loopback
-/// daemon.  `use_mmap` picks the server's storage path.
+/// daemon, `rounds` times per client (a fresh connection each round).
+/// `use_mmap` picks the server's storage path.
 DaemonResult run_daemon(const std::string& path, int clients, const Dims& dims,
-                        std::size_t cache_bytes, bool use_mmap) {
+                        std::size_t cache_bytes, bool use_mmap,
+                        int rounds = 1) {
   net::ServerConfig cfg;
   cfg.listen = "127.0.0.1:0";
   cfg.workers = static_cast<unsigned>(clients);
@@ -171,6 +180,7 @@ DaemonResult run_daemon(const std::string& path, int clients, const Dims& dims,
   std::vector<std::uint64_t> wire(static_cast<std::size_t>(clients));
   std::vector<std::uint64_t> logical(static_cast<std::size_t>(clients));
   std::vector<std::uint64_t> resend(static_cast<std::size_t>(clients));
+  std::vector<std::vector<double>> latency(static_cast<std::size_t>(clients));
   std::barrier gate(clients);
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
@@ -179,30 +189,61 @@ DaemonResult run_daemon(const std::string& path, int clients, const Dims& dims,
     threads.emplace_back([&, c] {
       gate.arrive_and_wait();
       const auto i = static_cast<std::size_t>(c);
-      net::RemoteReader<double> remote(addr, "bench");
-      for (const Request& req : traffic_for(c, dims).steps) {
-        const RetrievalStats st = remote.retrieve(req);
-        logical[i] += st.bytes_new;
-        resend[i] += st.bytes_total;
+      for (int round = 0; round < rounds; ++round) {
+        net::RemoteReader<double> remote(addr, "bench");
+        for (const Request& req : traffic_for(c, dims).steps) {
+          const auto start = std::chrono::steady_clock::now();
+          const RetrievalStats st = remote.retrieve(req);
+          const std::chrono::duration<double, std::milli> took =
+              std::chrono::steady_clock::now() - start;
+          latency[i].push_back(took.count());
+          logical[i] += st.bytes_new;
+          resend[i] += st.bytes_total;
+        }
+        wire[i] += remote.archive().wire_payload_bytes();
+        r.outputs[i] = remote.data();
       }
-      wire[i] = remote.archive().wire_payload_bytes();
-      r.outputs[i] = remote.data();
     });
   }
   for (auto& th : threads) th.join();
   r.seconds = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - t0).count();
   r.requests = static_cast<std::size_t>(clients) *
+               static_cast<std::size_t>(rounds) *
                traffic_for(0, dims).steps.size();
   for (int c = 0; c < clients; ++c) {
     const auto i = static_cast<std::size_t>(c);
     r.wire_bytes += wire[i];
     r.logical_bytes += logical[i];
     r.resend_bytes += resend[i];
+    r.latency_ms.insert(r.latency_ms.end(), latency[i].begin(),
+                        latency[i].end());
   }
   server.stop();
   return r;
 }
+
+/// Nearest-rank percentile (q in (0, 1]) of an unsorted sample.
+double percentile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(v.size())));
+  return v[rank == 0 ? 0 : rank - 1];
+}
+
+/// Per-request daemon latency at one client count.
+struct LatencyRow {
+  int clients = 0;
+  std::size_t samples = 0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  double req_s = 0.0;
+};
+
+/// Requests per client count in the latency sweep: enough that p99 has ten
+/// samples beyond it.
+constexpr std::size_t kLatencyRequests = 1000;
 
 struct IntegrityResult {
   double verify_gbps = 0.0;
@@ -280,6 +321,28 @@ int main(int argc, char** argv) {
       run_daemon(path, clients, dims, std::size_t{64} << 20, /*use_mmap=*/true);
   DaemonResult daemon_fread =
       run_daemon(path, clients, dims, std::size_t{64} << 20, /*use_mmap=*/false);
+  // Latency vs concurrency: closed-loop clients, each repeating its schedule
+  // on fresh connections until the level has kLatencyRequests samples.
+  std::vector<LatencyRow> latency;
+  for (int c : {1, 2, 4, 8}) {
+    const std::size_t per_round =
+        static_cast<std::size_t>(c) * traffic_for(0, dims).steps.size();
+    const int rounds =
+        static_cast<int>((kLatencyRequests + per_round - 1) / per_round);
+    const DaemonResult d = run_daemon(path, c, dims, std::size_t{64} << 20,
+                                      /*use_mmap=*/true, rounds);
+    for (int i = 0; i < c && i < clients; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      if (d.outputs[k] != shared.outputs[k]) {
+        std::fprintf(stderr, "FAIL: latency client %d diverged\n", i);
+        return 1;
+      }
+    }
+    latency.push_back({c, d.latency_ms.size(), percentile(d.latency_ms, 0.50),
+                       percentile(d.latency_ms, 0.99),
+                       static_cast<double>(d.requests) /
+                           (d.seconds > 0 ? d.seconds : 1e-9)});
+  }
   const IntegrityResult integrity = run_integrity(archive);
   std::remove(path.c_str());
 
@@ -327,6 +390,12 @@ int main(int argc, char** argv) {
               static_cast<double>(daemon_mmap.resend_bytes) /
                   static_cast<double>(daemon_mmap.wire_bytes ? daemon_mmap.wire_bytes : 1));
 
+  for (const LatencyRow& row : latency) {
+    std::printf("latency  : %d client%s  p50 %7.3f ms  p99 %7.3f ms  "
+                "(%zu requests, %.0f req/s)\n",
+                row.clients, row.clients == 1 ? " " : "s", row.p50_ms,
+                row.p99_ms, row.samples, row.req_s);
+  }
   std::printf("integrity: %.2f GB/s verifying %zu segments (%zu bytes)\n",
               integrity.verify_gbps, integrity.segments, integrity.bytes);
 
@@ -390,7 +459,17 @@ int main(int argc, char** argv) {
     std::fprintf(json, "    \"resend_baseline_bytes\": %zu,\n",
                  static_cast<std::size_t>(daemon_mmap.resend_bytes));
     std::fprintf(json, "    \"seconds_mmap\": %.4f,\n", daemon_mmap.seconds);
-    std::fprintf(json, "    \"seconds_fread\": %.4f\n", daemon_fread.seconds);
+    std::fprintf(json, "    \"seconds_fread\": %.4f,\n", daemon_fread.seconds);
+    std::fprintf(json, "    \"latency\": [\n");
+    for (std::size_t k = 0; k < latency.size(); ++k) {
+      const LatencyRow& row = latency[k];
+      std::fprintf(json,
+                   "      {\"clients\": %d, \"samples\": %zu, "
+                   "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"req_s\": %.3f}%s\n",
+                   row.clients, row.samples, row.p50_ms, row.p99_ms, row.req_s,
+                   k + 1 < latency.size() ? "," : "");
+    }
+    std::fprintf(json, "    ]\n");
     std::fprintf(json, "  },\n");
     std::fprintf(json, "  \"integrity\": {\n");
     std::fprintf(json, "    \"verify_gbps\": %.3f,\n", integrity.verify_gbps);

@@ -89,17 +89,18 @@ for f in "${src_files[@]}"; do
            | cut -d: -f1 | sed 's/$/:/')
 done
 
-# Raw I/O syscalls (::read/::write/::send/::recv) stay behind the two seams
-# that verify and fault-inject them: net/wire.cpp (FrameChannel, the only
-# wire path) and the src/io/ storage sources.  Anywhere else they would
-# bypass the integrity checks and the FaultInjector hooks that make failure
-# handling testable.
+# Raw I/O syscalls (::read/::write/::send/::recv and their gathered and
+# addressed forms ::sendmsg/::recvmsg/::writev/::readv/::sendto/::recvfrom)
+# stay behind the two seams that verify and fault-inject them: net/wire.cpp
+# (FrameChannel, the only wire path) and the src/io/ storage sources.
+# Anywhere else they would bypass the integrity checks and the FaultInjector
+# hooks that make failure handling testable.
 for f in "${src_files[@]}"; do
   case "$f" in src/net/wire.cpp | src/io/*) continue ;; esac
   while IFS=: read -r line _; do
-    fail "$f:$line: direct ::read/::write/::send/::recv (route raw I/O through net/wire.cpp or src/io/ sources)"
+    fail "$f:$line: direct raw socket/file I/O call (route raw I/O through net/wire.cpp or src/io/ sources)"
   done < <(strip_comments "$f" \
-           | grep -nE '(^|[^:[:alnum:]_])::(read|write|send|recv)[[:space:]]*\(' \
+           | grep -nE '(^|[^:[:alnum:]_])::(read|write|send|recv|sendmsg|recvmsg|writev|readv|sendto|recvfrom)[[:space:]]*\(' \
            | cut -d: -f1 | sed 's/$/:/')
 done
 

@@ -237,7 +237,9 @@ ExecReply RemoteArchive::execute_remote(std::uint64_t token) {
       }
       last_payload_bytes_ += payload.size();
       wire_payload_bytes_ += payload.size();
-      src_.stage(key, Bytes(payload.begin(), payload.end()));
+      // Stage the frame's own buffer, minus the u64 key, not a copy.
+      f.body.erase(f.body.begin(), f.body.begin() + 8);
+      src_.stage(key, std::move(f.body));
       continue;
     }
     ByteReader r({f.body.data(), f.body.size()});

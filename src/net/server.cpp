@@ -3,6 +3,7 @@
 #include <array>
 #include <chrono>
 #include <map>
+#include <vector>
 
 #include "core/header.hpp"
 #include "serve/session.hpp"
@@ -493,23 +494,36 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
         send_error(ch, ErrCode::kInternal, e.what());
         return true;
       }
+      // One reply: a SEGMENT frame per planned segment (key, then the
+      // payload straight from `payloads`, uncopied), closed by EXECUTE_OK,
+      // all leaving in a few gathered writes.
       const std::uint32_t ver = os.handle->version();
-      for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-        ByteWriter w;
-        w.u64(plan.segments[i].key(ver));
-        w.bytes({payloads[i].data(), payloads[i].size()});
-        send_frame(ch, Op::kSegment, w);
-        counters_->payload_bytes_sent.fetch_add(payloads[i].size(),
-                                                std::memory_order_relaxed);
+      const std::size_t n = plan.segments.size();
+      constexpr std::size_t kKeyBytes = sizeof(std::uint64_t);
+      ByteWriter keys;
+      for (const SegmentId& id : plan.segments) keys.u64(id.key(ver));
+      ByteWriter ok;
+      ok.varint(stats.bytes_new);
+      ok.varint(stats.bytes_total);
+      ok.f64(stats.guaranteed_error);
+      ok.f64(stats.bitrate);
+      std::vector<OutFrame> reply;
+      reply.reserve(n + 1);
+      std::uint64_t payload_bytes = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        reply.push_back(
+            {Op::kSegment, {keys.buffer().data() + kKeyBytes * i, kKeyBytes},
+             {payloads[i].data(), payloads[i].size()}});
+        payload_bytes += payloads[i].size();
       }
-      ByteWriter w;
-      w.varint(stats.bytes_new);
-      w.varint(stats.bytes_total);
-      w.f64(stats.guaranteed_error);
-      w.f64(stats.bitrate);
+      reply.push_back(
+          {Op::kExecuteOk, {ok.buffer().data(), ok.buffer().size()}, {}});
       // The session advanced: every outstanding token priced the old state.
       os.tokens.clear();
-      send_frame(ch, Op::kExecuteOk, w);
+      ch.send_frames(reply);
+      counters_->frames_out.fetch_add(reply.size(), std::memory_order_relaxed);
+      counters_->payload_bytes_sent.fetch_add(payload_bytes,
+                                              std::memory_order_relaxed);
       return true;
     }
 

@@ -6,10 +6,13 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstddef>
 #include <cstring>
 
@@ -68,6 +71,16 @@ sockaddr_un make_unix_addr(const std::string& path) {
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return addr;
+}
+
+/// Disable Nagle on a TCP socket.  Requests and replies are small and
+/// strictly alternating, so leaving it on makes every exchange wait for the
+/// peer's delayed ACK.
+void set_nodelay(const Socket& s) {
+  const int one = 1;
+  if (::setsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) != 0) {
+    throw_errno(WireError::Kind::kIo, "setsockopt TCP_NODELAY");
+  }
 }
 
 sockaddr_in make_inet_addr(const std::string& host, std::uint16_t port) {
@@ -162,6 +175,7 @@ Socket dial(const std::string& spec) {
     rc = ::connect(s.fd(), reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
   }
   if (rc != 0) throw_errno(WireError::Kind::kIo, "connect to " + spec);
+  if (!addr.unix_domain) set_nodelay(s);
   return s;
 }
 
@@ -236,6 +250,13 @@ std::optional<Socket> Listener::accept(int timeout_ms) {
     }
     throw_errno(WireError::Kind::kIo, "accept");
   }
+  if (!addr_.unix_domain) {
+    try {
+      set_nodelay(s);
+    } catch (const WireError&) {
+      return std::nullopt;  // the connection died before we could tune it
+    }
+  }
   return s;
 }
 
@@ -249,84 +270,167 @@ FrameChannel::FrameChannel(Socket sock, std::size_t max_frame)
     : sock_(std::move(sock)), max_frame_(max_frame), peer_(peer_name(sock_)) {}
 
 void FrameChannel::send(Op op, std::span<const std::uint8_t> body) {
-  if (body.size() + 1 > kMaxFrameBytes) {
-    throw WireError(WireError::Kind::kProtocol, "frame too large to send");
-  }
-  ByteWriter head;
-  head.u32(static_cast<std::uint32_t>(body.size() + 1));
-  head.u8(static_cast<std::uint8_t>(op));
-  auto send_all = [&](const std::uint8_t* data, std::size_t len) {
-    while (len > 0) {
-      std::size_t want = len;
-      if (faults_) {
-        if (faults_->drop(FaultOp::kWrite)) {
-          sock_.shutdown_both();
-          throw WireError(WireError::Kind::kIo, "send (injected reset)",
-                          ECONNRESET, peer_);
-        }
-        want = faults_->clamp(FaultOp::kWrite, len);
-        if (want == 0) continue;  // injected EINTR: retry like the real one
+  const OutFrame frame{op, {}, body};
+  send_frames({&frame, 1});
+}
+
+void FrameChannel::send_frames(std::span<const OutFrame> frames) {
+  // Each frame is two iovecs: head + prefix copied into `heads`, then the
+  // payload where it lies.
+  constexpr std::size_t kMaxIov = IOV_MAX;
+  Bytes heads;
+  std::vector<::iovec> iov;
+  std::size_t i = 0;
+  while (i < frames.size()) {
+    // Pick the frames of one gathered write; always at least one.
+    std::size_t end = i, head_bytes = 0, bytes = 0, n_iov = 0;
+    for (; end < frames.size(); ++end) {
+      const OutFrame& f = frames[end];
+      const std::size_t body = f.prefix.size() + f.payload.size();
+      if (body + 1 > kMaxFrameBytes) {
+        throw WireError(WireError::Kind::kProtocol, "frame too large to send");
       }
-      const ssize_t n = ::send(sock_.fd(), data, want, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          throw WireError(WireError::Kind::kTimeout, "send timed out", errno,
-                          peer_);
-        }
-        throw WireError(WireError::Kind::kIo, "send", errno, peer_);
+      const std::size_t size = kFrameHeadBytes + body;
+      const std::size_t need = f.payload.empty() ? 1 : 2;
+      if (end > i &&
+          (bytes + size > kSendBatchBytes || n_iov + need > kMaxIov)) {
+        break;
       }
-      data += n;
-      len -= static_cast<std::size_t>(n);
-      bytes_out_ += static_cast<std::uint64_t>(n);
+      head_bytes += kFrameHeadBytes + f.prefix.size();
+      bytes += size;
+      n_iov += need;
     }
-  };
-  send_all(head.buffer().data(), head.buffer().size());
-  send_all(body.data(), body.size());
+    // Size `heads` once so the iovecs pointing into it stay valid.
+    heads.resize(head_bytes);
+    iov.clear();
+    std::uint8_t* h = heads.data();
+    for (; i < end; ++i) {
+      const OutFrame& f = frames[i];
+      const auto len =
+          static_cast<std::uint32_t>(1 + f.prefix.size() + f.payload.size());
+      std::uint8_t* const start = h;
+      for (int b = 0; b < 4; ++b) {
+        *h++ = static_cast<std::uint8_t>(len >> (8 * b));
+      }
+      *h++ = static_cast<std::uint8_t>(f.op);
+      if (!f.prefix.empty()) {
+        std::memcpy(h, f.prefix.data(), f.prefix.size());
+        h += f.prefix.size();
+      }
+      iov.push_back({start, static_cast<std::size_t>(h - start)});
+      if (!f.payload.empty()) {
+        // sendmsg never writes through iov_base; the cast only drops const.
+        iov.push_back({const_cast<std::uint8_t*>(f.payload.data()),
+                       f.payload.size()});
+      }
+    }
+    send_all(iov.data(), iov.size());
+  }
+}
+
+void FrameChannel::send_all(::iovec* iov, std::size_t count) {
+  std::size_t left = 0;
+  for (std::size_t k = 0; k < count; ++k) left += iov[k].iov_len;
+  while (left > 0) {
+    std::size_t want = left;
+    if (faults_) {
+      if (faults_->drop(FaultOp::kWrite)) {
+        sock_.shutdown_both();
+        throw WireError(WireError::Kind::kIo, "send (injected reset)",
+                        ECONNRESET, peer_);
+      }
+      want = faults_->clamp(FaultOp::kWrite, left);
+      if (want == 0) continue;  // injected EINTR: retry like the real one
+    }
+    // Offer exactly `want` bytes: take the iovecs that cover them and trim
+    // the last one for the duration of the call.
+    std::size_t used = 0, covered = 0;
+    while (covered < want) covered += iov[used++].iov_len;
+    const std::size_t saved = iov[used - 1].iov_len;
+    iov[used - 1].iov_len -= covered - want;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = used;
+    const ssize_t n = ::sendmsg(sock_.fd(), &msg, MSG_NOSIGNAL);
+    iov[used - 1].iov_len = saved;
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        throw WireError(WireError::Kind::kTimeout, "send timed out", errno,
+                        peer_);
+      }
+      throw WireError(WireError::Kind::kIo, "send", errno, peer_);
+    }
+    // Resume after the last byte sent, possibly mid-iovec.
+    auto sent = static_cast<std::size_t>(n);
+    left -= sent;
+    bytes_out_ += sent;
+    while (sent > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+    }
+    if (sent > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
+  }
+}
+
+std::size_t FrameChannel::recv_some(std::uint8_t* data, std::size_t cap) {
+  while (true) {
+    std::size_t want = cap;
+    if (faults_) {
+      if (faults_->drop(FaultOp::kRead)) {
+        sock_.shutdown_both();
+        throw WireError(WireError::Kind::kClosed, "recv (injected reset)",
+                        ECONNRESET, peer_);
+      }
+      want = faults_->clamp(FaultOp::kRead, want);
+      if (want == 0) continue;  // injected EINTR: retry like the real one
+    }
+    const ssize_t n = ::recv(sock_.fd(), data, want, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        throw WireError(WireError::Kind::kTimeout, "recv timed out", errno,
+                        peer_);
+      }
+      throw WireError(WireError::Kind::kIo, "recv", errno, peer_);
+    }
+    const auto got = static_cast<std::size_t>(n);
+    if (faults_ && got > 0) faults_->corrupt(FaultOp::kRead, data, got);
+    bytes_in_ += got;
+    return got;
+  }
+}
+
+bool FrameChannel::fill(std::size_t n, bool eof_ok) {
+  if (rend_ - rpos_ >= n) return true;
+  if (rbuf_.empty()) rbuf_.resize(kRecvBufferBytes);
+  // Slide the unconsumed tail (shorter than `n`) to the front, so every
+  // fill offers the kernel as much room as the buffer has.
+  if (rpos_ > 0) {
+    std::memmove(rbuf_.data(), rbuf_.data() + rpos_, rend_ - rpos_);
+    rend_ -= rpos_;
+    rpos_ = 0;
+  }
+  while (rend_ - rpos_ < n) {
+    const std::size_t got =
+        recv_some(rbuf_.data() + rend_, rbuf_.size() - rend_);
+    if (got == 0) {
+      // EOF is clean only at a frame boundary.
+      if (eof_ok && rend_ == rpos_) return false;
+      throw WireError(WireError::Kind::kClosed, "recv: peer closed mid-frame",
+                      0, peer_);
+    }
+    rend_ += got;
+  }
+  return true;
 }
 
 std::optional<Frame> FrameChannel::recv() {
-  // `eof_ok` is true only at the frame boundary: EOF there is a clean
-  // disconnect, EOF anywhere later is a truncated frame.
-  auto recv_all = [&](std::uint8_t* data, std::size_t len, bool eof_ok) {
-    std::size_t got = 0;
-    while (got < len) {
-      std::size_t want = len - got;
-      if (faults_) {
-        if (faults_->drop(FaultOp::kRead)) {
-          sock_.shutdown_both();
-          throw WireError(WireError::Kind::kClosed, "recv (injected reset)",
-                          ECONNRESET, peer_);
-        }
-        want = faults_->clamp(FaultOp::kRead, want);
-        if (want == 0) continue;  // injected EINTR: retry like the real one
-      }
-      const ssize_t n = ::recv(sock_.fd(), data + got, want, 0);
-      if (n == 0) {
-        if (eof_ok && got == 0) return false;
-        throw WireError(WireError::Kind::kClosed, "recv: peer closed mid-frame",
-                        0, peer_);
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          throw WireError(WireError::Kind::kTimeout, "recv timed out", errno,
-                          peer_);
-        }
-        throw WireError(WireError::Kind::kIo, "recv", errno, peer_);
-      }
-      if (faults_) {
-        faults_->corrupt(FaultOp::kRead, data + got,
-                         static_cast<std::size_t>(n));
-      }
-      got += static_cast<std::size_t>(n);
-      bytes_in_ += static_cast<std::uint64_t>(n);
-    }
-    return true;
-  };
-
-  std::uint8_t head[4];
-  if (!recv_all(head, sizeof head, /*eof_ok=*/true)) return std::nullopt;
+  if (!fill(4, /*eof_ok=*/true)) return std::nullopt;
+  const std::uint8_t* head = rbuf_.data() + rpos_;
   const std::uint32_t len = static_cast<std::uint32_t>(head[0]) |
                             static_cast<std::uint32_t>(head[1]) << 8 |
                             static_cast<std::uint32_t>(head[2]) << 16 |
@@ -337,11 +441,31 @@ std::optional<Frame> FrameChannel::recv() {
     throw WireError(WireError::Kind::kProtocol,
                     "bad frame length " + std::to_string(len));
   }
+  rpos_ += 4;
+  fill(1, /*eof_ok=*/false);
   Frame f;
-  Bytes buf(len);
-  recv_all(buf.data(), buf.size(), /*eof_ok=*/false);
-  f.op = buf[0];
-  f.body.assign(buf.begin() + 1, buf.end());
+  f.op = rbuf_[rpos_++];
+  f.body.resize(len - 1);
+  // Whatever the buffer already holds, then the rest: large remainders are
+  // read straight into the body, small ones batched through the buffer.
+  std::size_t got = std::min(f.body.size(), rend_ - rpos_);
+  if (got > 0) std::memcpy(f.body.data(), rbuf_.data() + rpos_, got);
+  rpos_ += got;
+  const std::size_t rest = f.body.size() - got;
+  if (rest >= kRecvBufferBytes / 2) {
+    while (got < f.body.size()) {
+      const std::size_t n = recv_some(f.body.data() + got, f.body.size() - got);
+      if (n == 0) {
+        throw WireError(WireError::Kind::kClosed,
+                        "recv: peer closed mid-frame", 0, peer_);
+      }
+      got += n;
+    }
+  } else if (rest > 0) {
+    fill(rest, /*eof_ok=*/false);
+    std::memcpy(f.body.data() + got, rbuf_.data() + rpos_, rest);
+    rpos_ += rest;
+  }
   return f;
 }
 

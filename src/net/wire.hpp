@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -48,6 +49,8 @@
 #include "io/bytes.hpp"
 #include "serve/cache.hpp"
 #include "util/fault.hpp"
+
+struct iovec;  // <sys/uio.h>; only FrameChannel's private send path names it
 
 namespace ipcomp::net {
 
@@ -219,6 +222,8 @@ class Socket {
 };
 
 /// Connect to `spec` ("host:port" or "unix:/path").  Throws on failure.
+/// TCP connections have TCP_NODELAY set: every exchange is a small request
+/// answered by a reply, exactly the pattern Nagle plus delayed ACK stalls.
 Socket dial(const std::string& spec);
 
 /// Bound + listening server socket.
@@ -230,7 +235,8 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Accept one connection, waiting at most `timeout_ms`; std::nullopt on
-  /// timeout (acceptor loops poll their stop flag between waits).
+  /// timeout (acceptor loops poll their stop flag between waits).  Accepted
+  /// TCP connections have TCP_NODELAY set, as dial() does.
   std::optional<Socket> accept(int timeout_ms);
 
   /// The dialable address — for TCP with port 0 this reports the port the
@@ -245,17 +251,48 @@ class Listener {
   std::uint16_t bound_port_ = 0;
 };
 
+/// Bytes in front of every frame body: the u32 length plus the opcode byte.
+inline constexpr std::size_t kFrameHeadBytes = 5;
+/// A gathered send stops adding frames once it carries this many bytes, so
+/// one EXECUTE reply leaves as a few large writes instead of one per frame.
+inline constexpr std::size_t kSendBatchBytes = std::size_t{64} << 10;
+/// Capacity of a FrameChannel's receive buffer; frame bodies at least half
+/// this size bypass it and are read straight into Frame::body.
+inline constexpr std::size_t kRecvBufferBytes = std::size_t{64} << 10;
+
+/// One outbound frame for FrameChannel::send_frames.  Its body is `prefix`
+/// followed by `payload`.  The prefix (a segment key, a small reply body) is
+/// copied next to the frame head; the payload is sent from where it lies and
+/// must stay alive until send_frames returns.
+struct OutFrame {
+  Op op;
+  std::span<const std::uint8_t> prefix;
+  std::span<const std::uint8_t> payload;
+};
+
 /// Frame I/O over one socket: length-prefixed send/recv with a hard cap on
 /// accepted frame length, plus wire byte counters for the stats surface.
 /// The peer address is captured at construction and folded into every
 /// WireError this channel throws.
+///
+/// Sends are gathered: each frame's head and body leave in one sendmsg, and
+/// send_frames packs many frames into writes of about kSendBatchBytes.
+/// Receives go through a kRecvBufferBytes buffer, so a burst of small frames
+/// costs one recv per buffer fill rather than two per frame.  Neither
+/// changes a byte on the wire.
 class FrameChannel {
  public:
   FrameChannel(Socket sock, std::size_t max_frame);
 
-  /// Send one frame (blocking, complete).  Throws WireError on failure.
+  /// Send one frame (blocking, complete) as one gathered write.  Throws
+  /// WireError on failure.
   void send(Op op, std::span<const std::uint8_t> body);
   void send(Op op, const ByteWriter& w) { send(op, {w.buffer().data(), w.buffer().size()}); }
+
+  /// Send `frames` in order, in gathered writes of at most kSendBatchBytes
+  /// (a single larger frame goes alone) and IOV_MAX iovecs.  Throws
+  /// WireError on failure, after which the channel is unusable.
+  void send_frames(std::span<const OutFrame> frames);
 
   /// Receive one frame.  std::nullopt on clean EOF at a frame boundary;
   /// WireError(kTimeout) when the socket's receive timeout expires,
@@ -266,7 +303,9 @@ class FrameChannel {
   /// Install a fault injector consulted around every raw socket I/O
   /// (util/fault.hpp); nullptr uninstalls.  This is the wire seam of the
   /// deterministic fault-injection harness — torn reads/writes, EINTR
-  /// storms, bit flips and resets all enter here.
+  /// storms, bit flips and resets all enter here.  One raw I/O is one
+  /// sendmsg (a whole gathered write) or one recv (a buffer fill, or a
+  /// direct read into a large frame body).
   void set_fault_injector(std::shared_ptr<FaultInjector> injector) {
     faults_ = std::move(injector);
   }
@@ -278,12 +317,26 @@ class FrameChannel {
   std::uint64_t bytes_out() const { return bytes_out_; }
 
  private:
+  /// Write every byte `iov[0..count)` describes, resuming partial sends
+  /// across iovec boundaries; consumes (mutates) the array.
+  void send_all(::iovec* iov, std::size_t count);
+  /// One raw recv into [data, data + cap); returns 0 on EOF.
+  std::size_t recv_some(std::uint8_t* data, std::size_t cap);
+  /// Buffer at least `n` bytes (n <= kRecvBufferBytes).  False on EOF with
+  /// nothing buffered when `eof_ok`; any other EOF throws kClosed.
+  bool fill(std::size_t n, bool eof_ok);
+
   Socket sock_;
   std::size_t max_frame_;
   std::string peer_;
   std::shared_ptr<FaultInjector> faults_;
   std::uint64_t bytes_in_ = 0;
   std::uint64_t bytes_out_ = 0;
+  /// Receive buffer (allocated on first recv); bytes [rpos_, rend_) are
+  /// received but not yet consumed.
+  Bytes rbuf_;
+  std::size_t rpos_ = 0;
+  std::size_t rend_ = 0;
 };
 
 // ---- body serialization ---------------------------------------------------

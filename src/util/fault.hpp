@@ -12,7 +12,7 @@
 //
 // Injected failure modes:
 //   * torn reads/writes  — one raw I/O clamped to a single byte, exercising
-//     the resume loops around ::send/::recv;
+//     the resume loops around ::sendmsg/::recv;
 //   * EINTR storms       — I/Os clamped to zero bytes, the signal-interrupt
 //     shape without needing real signals;
 //   * bit flips          — one bit of a received chunk inverted, exercising

@@ -2,18 +2,27 @@
 // integration — remote reconstruction byte-identical to a local reader over
 // the same request sequence on both storage backends, refinement wire bytes
 // equal to the plan's predicted bytes_new, mixed region/eb/bytes traffic,
-// quota rejection over the wire, typed error mapping, the deterministic
+// quota rejection over the wire, typed error mapping,
+// wire-level I/O (TCP_NODELAY on TCP only, batched frames round-tripping,
+// an EXECUTE reply's raw bytes equal to its frames encoded one by one, with
+// the server's frame and byte counters matching), the deterministic
 // fault-injection suite (torn I/O, EINTR storms, bit-flipped frames,
 // connection resets — and the self-healing reconnect+RESUME path they
 // exercise) — and the multi-client stress the tsan preset runs against one
 // live daemon.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -392,13 +401,223 @@ TEST(Net, StopReturnsPromptlyAfterAcceptWakeStorms) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
 }
 
+// ---- wire-level I/O ---------------------------------------------------------
+
+int tcp_nodelay(const net::Socket& s) {
+  int value = -1;
+  socklen_t len = sizeof value;
+  EXPECT_EQ(::getsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+// Nagle is off on both ends of a TCP connection; Unix-domain sockets (where
+// IPPROTO_TCP options do not apply) still dial, accept and carry frames.
+TEST(Net, TcpSocketsDisableNagleUnixSocketsUnaffected) {
+  net::Listener tcp("127.0.0.1:0");
+  net::Socket dialed = net::dial(tcp.address());
+  std::optional<net::Socket> accepted = tcp.accept(2000);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_EQ(tcp_nodelay(dialed), 1);
+  EXPECT_EQ(tcp_nodelay(*accepted), 1);
+
+  const std::string path = "unix:" + ::testing::TempDir() + "/ipc_nodelay.sock";
+  net::Listener local(path);
+  net::Socket unix_dialed;
+  ASSERT_NO_THROW(unix_dialed = net::dial(path));
+  std::optional<net::Socket> unix_accepted;
+  ASSERT_NO_THROW(unix_accepted = local.accept(2000));
+  ASSERT_TRUE(unix_accepted.has_value());
+  net::FrameChannel a(std::move(unix_dialed), net::kMaxFrameBytes);
+  net::FrameChannel b(std::move(*unix_accepted), net::kMaxFrameBytes);
+  a.send(net::Op::kStat, ByteWriter{});
+  std::optional<net::Frame> f = b.recv();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_TRUE(f->is(net::Op::kStat));
+  EXPECT_TRUE(f->body.empty());
+}
+
+/// Reference encoding of one frame: u32 length | u8 opcode | body.
+void append_frame(Bytes& out, net::Op op, const ByteWriter& body) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(body.buffer().size() + 1));
+  w.u8(static_cast<std::uint8_t>(op));
+  w.bytes({body.buffer().data(), body.buffer().size()});
+  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
+}
+
+// Batching never changes the bytes: a mixed run of frames sent with one
+// send_frames call — enough small frames to hit the iovec and byte limits
+// of a gathered write, a body far larger than the receive buffer, an empty
+// body — arrives as the frames sent one by one would, and both ends count
+// exactly those bytes.
+TEST(Net, FrameChannelBatchedFramesRoundTrip) {
+  net::Listener listener("127.0.0.1:0");
+  net::Socket peer = net::dial(listener.address());
+  std::optional<net::Socket> accepted = listener.accept(2000);
+  ASSERT_TRUE(accepted.has_value());
+  net::FrameChannel tx(std::move(peer), net::kMaxFrameBytes);
+  net::FrameChannel rx(std::move(*accepted), net::kMaxFrameBytes);
+
+  Rng rng(77);
+  std::vector<Bytes> payloads;
+  for (int i = 0; i < 1500; ++i) {
+    Bytes p(i == 700 ? 3 * net::kRecvBufferBytes : rng.next_u64() % 300);
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng.next_u64());
+    payloads.push_back(std::move(p));
+  }
+  ByteWriter keys;
+  for (std::size_t i = 0; i < payloads.size(); ++i) keys.u64(i * 7919);
+  std::vector<net::OutFrame> frames;
+  Bytes expected;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    const std::span<const std::uint8_t> key{keys.buffer().data() + 8 * i, 8};
+    frames.push_back({net::Op::kSegment, key,
+                      {payloads[i].data(), payloads[i].size()}});
+    ByteWriter body;
+    body.bytes(key);
+    body.bytes({payloads[i].data(), payloads[i].size()});
+    append_frame(expected, net::Op::kSegment, body);
+  }
+  frames.push_back({net::Op::kCloseOk, {}, {}});
+  append_frame(expected, net::Op::kCloseOk, ByteWriter{});
+
+  // The receiver drains concurrently: the batch exceeds the socket buffers.
+  std::thread sender([&] { tx.send_frames(frames); });
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    std::optional<net::Frame> f = rx.recv();
+    ASSERT_TRUE(f.has_value());
+    ASSERT_TRUE(f->is(net::Op::kSegment));
+    ByteReader r({f->body.data(), f->body.size()});
+    ASSERT_EQ(r.u64(), i * 7919);
+    auto payload = r.bytes(r.remaining());
+    ASSERT_EQ(Bytes(payload.begin(), payload.end()), payloads[i]) << i;
+  }
+  std::optional<net::Frame> last = rx.recv();
+  sender.join();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(last->is(net::Op::kCloseOk));
+  EXPECT_TRUE(last->body.empty());
+  EXPECT_EQ(tx.bytes_out(), expected.size());
+  EXPECT_EQ(rx.bytes_in(), expected.size());
+}
+
+// The raw server->client bytes of one multi-segment EXECUTE equal the
+// reply's frames encoded one at a time — SEGMENT(key, payload) per planned
+// segment, then EXECUTE_OK — so batching the reply changed no byte.  The
+// server's counters (what STAT reports) match what the client received,
+// counted per frame.
+TEST(Net, ExecuteReplyBytesEqualItsFramesEncodedOneByOne) {
+  auto field = smooth_field(Dims{48, 40, 32}, 95, 0.05);
+  const Bytes archive = make_archive(field, 1e-6, 8);
+  net::Server server;
+  server.export_memory("a", Bytes(archive));
+  server.start();
+
+  // The reference reply, from a local session — what the server runs per
+  // connection — executing the same request.
+  MemorySource src{Bytes(archive)};
+  ArchiveSet set;
+  Session<double> local(set.open_memory("a", Bytes(archive)));
+  const RetrievalPlan lp = local.plan(Request::full());
+  Bytes expected;
+  std::uint64_t payload_bytes = 0;
+  for (const SegmentId& id : lp.segments) {
+    const Bytes payload = src.read_segment(id);
+    ByteWriter body;
+    body.u64(id.key(src.version()));
+    body.bytes({payload.data(), payload.size()});
+    append_frame(expected, net::Op::kSegment, body);
+    payload_bytes += payload.size();
+  }
+  const RetrievalStats ls = local.execute(lp);
+  ByteWriter ok;
+  ok.varint(ls.bytes_new);
+  ok.varint(ls.bytes_total);
+  ok.f64(ls.guaranteed_error);
+  ok.f64(ls.bitrate);
+  append_frame(expected, net::Op::kExecuteOk, ok);
+  // Big enough that the reply needs several gathered writes on both limits.
+  ASSERT_GT(lp.segments.size(), 1024u);
+  ASSERT_GT(expected.size(), 2 * net::kSendBatchBytes);
+
+  std::uint64_t received = 0;
+  Bytes got(expected.size());
+  {
+    net::Socket sock = net::dial(server.address());
+    sock.set_timeouts(10000, 10000);
+    net::FrameChannel ch(std::move(sock), net::kMaxFrameBytes);
+    auto call = [&](net::Op op, const ByteWriter& w, net::Op reply) {
+      ch.send(op, w);
+      std::optional<net::Frame> f = ch.recv();
+      if (!f.has_value() || !f->is(reply)) {
+        throw std::runtime_error("unexpected reply");
+      }
+      return std::move(f->body);
+    };
+    ByteWriter hello;
+    hello.u32(net::kWireVersion);
+    call(net::Op::kHello, hello, net::Op::kHelloOk);
+    ByteWriter open;
+    open.string("a");
+    const Bytes opened = call(net::Op::kOpen, open, net::Op::kOpenOk);
+    const std::uint32_t open_id = ByteReader({opened.data(), 4}).u32();
+    ByteWriter plan;
+    plan.u32(open_id);
+    plan.u64(lp.epoch);
+    net::write_request(plan, Request::full());
+    const Bytes planned = call(net::Op::kPlan, plan, net::Op::kPlanOk);
+    ByteReader pr({planned.data(), planned.size()});
+    const std::uint64_t token = pr.varint();
+
+    ByteWriter exec;
+    exec.u32(open_id);
+    exec.varint(token);
+    ch.send(net::Op::kExecute, exec);
+    // Read the reply off the raw socket, bypassing the frame parser.
+    std::size_t n = 0;
+    while (n < got.size()) {
+      const ssize_t r =
+          ::recv(ch.socket().fd(), got.data() + n, got.size() - n, 0);
+      ASSERT_GT(r, 0) << "reply ended after " << n << " bytes";
+      n += static_cast<std::size_t>(r);
+    }
+    received = ch.bytes_in() + got.size();
+  }
+  const auto diff = std::mismatch(got.begin(), got.end(), expected.begin());
+  ASSERT_TRUE(diff.first == got.end())
+      << "first differing byte at offset " << (diff.first - got.begin())
+      << " of " << got.size();
+
+  // Count the frames the client received: three handshake replies plus the
+  // frames found by walking the raw reply's length prefixes.
+  std::uint64_t frames = 3;
+  for (std::size_t at = 0; at < got.size(); ++frames) {
+    at += 4 + ByteReader({got.data() + at, 4}).u32();
+  }
+  EXPECT_EQ(frames, 3 + lp.segments.size() + 1);
+
+  // Wire byte counters are folded in when the connection ends.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().connections_active > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const net::ServeStats st = server.stats();
+  EXPECT_EQ(st.connections_active, 0u);
+  EXPECT_EQ(st.frames_out, frames);
+  EXPECT_EQ(st.payload_bytes_sent, payload_bytes);
+  EXPECT_EQ(st.wire_bytes_out, received);
+  server.stop();
+}
+
 // ---- deterministic fault injection & self-healing -------------------------
 
-// Satellite coverage for the send() resume loops: torn (1-byte) writes and
-// EINTR storms on the sender must never desynchronize the framing.  The
-// schedule pins ordinals directly: send() issues two raw writes per frame
-// (5-byte head, then body), and every clamped attempt retries as the next
-// ordinal.
+// Coverage for the send() resume loop: torn (1-byte) writes and EINTR storms
+// on the sender must never desynchronize the framing.  send() is one
+// gathered write per frame (head iovec + body iovec) and every clamped
+// attempt retries as the next raw-I/O ordinal, so the schedule is laid out
+// from the frame's write ordinal.
 TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   net::Listener listener("127.0.0.1:0");
   net::Socket peer = net::dial(listener.address());
@@ -408,16 +627,24 @@ TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   net::FrameChannel rx(std::move(*accepted), net::kMaxFrameBytes);
 
   auto plan = std::make_shared<FaultPlan>(0);
-  // Ordinal 0: head write torn to 1 byte; 1: the 4-byte remainder torn
-  // again; 2: the last 3 head bytes; 3–5: an EINTR storm at the body write;
-  // 6: the body, torn once more; 7: the 31999-byte remainder.
-  plan->torn_at(0).torn_at(1).eintr_at(3, 3).torn_at(6).delay_at(7, 1);
+  // Two torn attempts move one head byte each; an EINTR storm interrupts
+  // the next three; a third torn attempt moves one more head byte; the next
+  // attempt resumes mid-head and carries across the iovec boundary into the
+  // body.
+  const std::uint64_t write = 0;  // the frame's (only) write
+  const std::uint64_t storm = write + 2;
+  const std::uint64_t after_storm = storm + 3;
+  plan->torn_at(write).torn_at(write + 1).eintr_at(storm, 3);
+  plan->torn_at(after_storm).delay_at(after_storm + 1, 1);
   tx.set_fault_injector(plan);
 
   Rng rng(4242);
   Bytes big(32000);
   for (auto& b : big) b = static_cast<std::uint8_t>(rng.next_u64());
   tx.send(net::Op::kSegment, {big.data(), big.size()});
+  EXPECT_EQ(tx.bytes_out(), net::kFrameHeadBytes + big.size());
+  // One write for the frame plus one retry per clamped attempt.
+  EXPECT_EQ(plan->io_ops(), after_storm + 2);
 
   std::optional<net::Frame> f = rx.recv();
   ASSERT_TRUE(f.has_value());
@@ -433,6 +660,22 @@ TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   ASSERT_TRUE(f.has_value());
   EXPECT_TRUE(f->is(net::Op::kStat));
   EXPECT_EQ(f->body, small);
+}
+
+/// Where an EXECUTE reply sits in a client channel's raw-I/O ordinals and
+/// byte stream.  The EXECUTE request leaves as one gathered write at ordinal
+/// `execute_op` (the plan's io_ops() just before execute()).  The reply is
+/// read through the channel's receive buffer from the next ordinal on, and
+/// FaultPlan::flip_at addresses the bytes of that stream however the kernel
+/// chunks the reads.  The stream opens with the first SEGMENT frame: its
+/// head, its u64 segment key, then its payload.
+struct ExecuteReplyLayout {
+  std::uint64_t first_read;   // ordinal of the reply's first raw read
+  std::size_t first_payload;  // stream offset of the first payload byte
+};
+
+ExecuteReplyLayout execute_reply_layout(std::uint64_t execute_op) {
+  return {execute_op + 1, net::kFrameHeadBytes + sizeof(std::uint64_t)};
 }
 
 // A bit-flipped SEGMENT frame must surface as IntegrityError{kWire} naming
@@ -451,11 +694,9 @@ TEST(Fault, WireBitFlipFastFailsTypedWhenRetriesDisabled) {
   remote.archive().set_fault_injector(plan);
 
   RetrievalPlan p = remote.plan(Request::full());
-  // EXECUTE issues two raw writes (head, body), then per reply frame a
-  // 4-byte length read and a body read whose chunk is [op][key u64][payload].
   // Flip a payload bit of the first SEGMENT frame.
-  const std::uint64_t e = plan->io_ops();
-  plan->flip_at(e + 3, /*byte=*/9, /*bit=*/3);
+  const ExecuteReplyLayout reply = execute_reply_layout(plan->io_ops());
+  plan->flip_at(reply.first_read, reply.first_payload, /*bit=*/3);
   try {
     remote.execute(p);
     FAIL() << "expected IntegrityError at the wire boundary";
@@ -488,12 +729,12 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   auto plan = std::make_shared<FaultPlan>(0);
   remote.archive().set_fault_injector(plan);
 
-  // Phase 1: benign faults — torn EXECUTE head write (twice: the retry of a
-  // torn write is itself torn) and an EINTR storm at the body write.  No
-  // recovery needed.
+  // Phase 1: benign faults — the EXECUTE frame's gathered write torn twice
+  // (the retry of a torn write is itself torn), then an EINTR storm on the
+  // retries of the rest.  No recovery needed.
   RetrievalPlan p1 = remote.plan(Request::error_bound(1e-2));
-  std::uint64_t e = plan->io_ops();
-  plan->torn_at(e).torn_at(e + 1).eintr_at(e + 4, 3);
+  const std::uint64_t write = plan->io_ops();
+  plan->torn_at(write).torn_at(write + 1).eintr_at(write + 2, 3);
   remote.execute(p1);
   EXPECT_EQ(plan->torn(), 2u);
   EXPECT_EQ(plan->eintrs(), 3u);
@@ -502,18 +743,20 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   // Phase 2: one flipped payload bit in the first SEGMENT frame of the next
   // refinement → IntegrityError{kWire} → one recovery cycle.
   RetrievalPlan p2 = remote.plan(Request::bytes(3000));
-  e = plan->io_ops();
-  plan->flip_at(e + 3, /*byte=*/9, /*bit=*/5);
+  const ExecuteReplyLayout flipped = execute_reply_layout(plan->io_ops());
+  plan->flip_at(flipped.first_read, flipped.first_payload, /*bit=*/5);
   remote.execute(p2);
   EXPECT_EQ(plan->flips(), 1u);
   EXPECT_EQ(remote.recoveries(), 1u);
   EXPECT_EQ(remote.retries(), 1u);
 
-  // Phase 3: connection reset in the middle of the full retrieval's reply
-  // stream → second recovery cycle, RESUME now replays two requests.
+  // Phase 3: connection reset mid-EXECUTE — the request reaches the server,
+  // which commits the full retrieval, and the client's first read of the
+  // reply resets (the whole reply can arrive in that one read, so it is the
+  // only read the layout guarantees) → second recovery cycle, RESUME now
+  // replays two requests.
   RetrievalPlan p3 = remote.plan(Request::full());
-  e = plan->io_ops();
-  plan->reset_at(e + 5);
+  plan->reset_at(execute_reply_layout(plan->io_ops()).first_read);
   remote.execute(p3);
   EXPECT_EQ(plan->resets(), 1u);
   EXPECT_EQ(remote.recoveries(), 2u);
