@@ -62,12 +62,16 @@ std::uint32_t to_sign_magnitude(std::int64_t q) {
 }
 
 /// Total codec size of all 32 planes of `values` (no prefix prediction, to
-/// isolate the representation effect).
+/// isolate the representation effect).  encode_level stops at the top
+/// populated plane; the all-zero planes above it are counted at their coded
+/// size.
 std::size_t planes_size(const std::vector<std::uint32_t>& values) {
-  auto planes = extract_all_planes(values);
-  std::size_t total = 0;
-  for (unsigned k = 0; k < kPlaneCount; ++k) {
-    total += codec_compress({planes[k].data(), planes[k].size()}).size();
+  const auto planes = encode_level(values, /*with_loss=*/false).planes;
+  const PlaneBits zero(plane_bytes(values.size()), 0);
+  std::size_t total = (kPlaneCount - planes.size()) *
+                      codec_compress({zero.data(), zero.size()}).size();
+  for (const PlaneBits& p : planes) {
+    total += codec_compress({p.data(), p.size()}).size();
   }
   return total;
 }
@@ -128,8 +132,8 @@ int main() {
     // The per-plane byte streams the real pipeline feeds the codec: the
     // negabinary planes with the 2-bit predictive XOR applied.
     std::vector<Bytes> segs;
-    auto planes = extract_all_planes(nb);
-    for (unsigned k = 0; k < kPlaneCount; ++k) {
+    auto planes = encode_level(nb, /*with_loss=*/false).planes;
+    for (unsigned k = 0; k < planes.size(); ++k) {
       segs.push_back(predictive_encode_plane(nb, planes[k], k, 2));
     }
     TableReporter td({"policy", "plane bytes", "encode MB/s",

@@ -7,9 +7,9 @@
 // Default codes mimic interpolation residuals (small magnitudes, low planes
 // populated — the common case); --dense uses full-width random codes (worst
 // case for the sparse-friendly scalar paths).  Reported rate is code bytes
-// (4 per value) through the stage, median of R runs.  The PR acceptance
-// floor is >=3x for extract_all_planes and the multi-plane deposit, SIMD
-// tier vs the ref scalar path.
+// (4 per value) through the stage, median of R runs.  The acceptance floor
+// is >=3x for the plane split (encode_level without the loss table) and the
+// multi-plane deposit, SIMD tier vs the ref scalar path.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -64,6 +64,31 @@ void deposit_plane_ref(std::span<std::uint32_t> values,
       bits = static_cast<std::uint8_t>(bits & (bits - 1));
     }
   }
+}
+
+/// Exact truncation-loss table, one serial pass: per value, walk the set
+/// bits and raise every depth whose dropped low bits decode to more.
+std::array<std::int64_t, kPlaneCount + 1> truncation_loss_ref(
+    std::span<const std::uint32_t> values) {
+  std::array<std::int64_t, kPlaneCount + 1> table{};
+  for (std::uint32_t v : values) {
+    if (v == 0) continue;
+    std::int64_t acc = 0;
+    for (unsigned d = 1; d <= kPlaneCount && (v >> (d - 1)) != 0; ++d) {
+      if ((v >> (d - 1)) & 1u) {
+        const std::int64_t w = std::int64_t{1} << (d - 1);
+        acc += ((d - 1) & 1u) ? -w : w;
+      }
+      table[d] = std::max(table[d], acc < 0 ? -acc : acc);
+    }
+    // Depths past the top set bit lose the whole value.
+    const std::int64_t mag = acc < 0 ? -acc : acc;
+    for (unsigned d = 33u - static_cast<unsigned>(__builtin_clz(v));
+         d <= kPlaneCount; ++d) {
+      table[d] = std::max(table[d], mag);
+    }
+  }
+  return table;
 }
 
 unsigned plane_count_ref(std::span<const std::uint32_t> values) {
@@ -159,7 +184,7 @@ int main(int argc, char** argv) {
                              SimdLevel::kAvx2};
   std::vector<Row> rows;
 
-  // -- extract_all_planes --------------------------------------------------
+  // -- plane split (encode_level without the loss table) -------------------
   double ref_extract = median_seconds(reps, [&] {
     auto planes = extract_all_planes_ref(codes);
     if (planes[0].empty() && n) std::printf("unreachable\n");
@@ -169,14 +194,14 @@ int main(int argc, char** argv) {
     if (t > detected_simd_level()) continue;
     const auto& ops = transpose_ops(t);
     double s = median_seconds(reps, [&] {
-      auto planes = extract_all_planes(ops, codes);
-      if (planes[0].empty() && n) std::printf("unreachable\n");
+      auto planes = encode_level(ops, codes, /*with_loss=*/false).planes;
+      if (planes.size() != n_planes) std::printf("unreachable\n");
     });
     rows.push_back({"extract_all", to_string(t), s, gbps(bytes, s)});
   }
 
   // -- multi-plane deposit (rebuild all planes into zeroed codes) ----------
-  auto planes = extract_all_planes(codes);
+  const auto planes = encode_level(codes, /*with_loss=*/false).planes;
   std::vector<PlaneSpan> spans;
   for (unsigned k = 0; k < n_planes; ++k) {
     spans.push_back({k, {planes[k].data(), planes[k].size()}});
@@ -206,7 +231,7 @@ int main(int argc, char** argv) {
   // -- fused encode (count + loss + planes) vs separate sweeps -------------
   double ref_encode = median_seconds(reps, [&] {
     const unsigned np = plane_count_ref(codes);
-    auto loss = truncation_loss_table(codes);
+    auto loss = truncation_loss_ref(codes);
     auto ps = extract_all_planes_ref(codes);
     if (np && loss[1] < 0 && ps[0].empty()) std::printf("unreachable\n");
   });
@@ -231,5 +256,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(acceptance floor: >=3x for extract_all and deposit_multi, "
               "SIMD tier vs ref)\n");
+  if (truncation_loss_ref(codes) != encode_level(codes, true).loss) {
+    std::fprintf(stderr, "FATAL: fused loss table differs from the reference\n");
+    return 1;
+  }
   return 0;
 }

@@ -46,13 +46,8 @@ double stream_entropy(const std::vector<std::vector<std::uint32_t>>& levels,
   double weighted = 0.0;
   double total_bits = 0.0;
   for (const auto& codes : levels) {
-    if (codes.empty()) continue;
-    std::uint32_t all = 0;
-    for (auto c : codes) all |= c;
-    if (all == 0) continue;
-    const unsigned n_planes = 32 - __builtin_clz(all);
-    auto planes = extract_all_planes(codes);
-    for (unsigned k = 0; k < n_planes; ++k) {
+    auto planes = encode_level(codes, /*with_loss=*/false).planes;
+    for (unsigned k = 0; k < planes.size(); ++k) {
       Bytes stream = prefix_bits == 0
                          ? planes[k]
                          : predictive_encode_plane(codes, planes[k], k, prefix_bits);

@@ -15,9 +15,11 @@
 //   ipc serve    <name> --connect ADDR [--clients N] [--rounds R]
 //
 // Raw files are dense row-major little-endian arrays (SDRBench layout).
-// --block-side N compresses in independent N^d blocks (archive format v2+):
-// compression parallelizes across blocks and --region retrieves a sub-box by
-// reading only the blocks that intersect it.  --region composes with any
+// --block-side N compresses in independent N^d blocks: compression
+// parallelizes across blocks and --region retrieves a sub-box by reading only
+// the blocks that intersect it.  Without it (or with 0) the whole field is
+// one block.  Interp archives are always format v2; v1 (legacy whole-field)
+// archives still read.  --region composes with any
 // fidelity flag ("this region at eb 1e-3"); alone it means full fidelity.
 // --dry-run prints the retrieval plan — segments, predicted bytes, predicted
 // guaranteed error — without fetching a payload byte (the output file may be
@@ -68,6 +70,8 @@ using namespace ipcomp;
       "  ipc compress <input.raw> <output.ipc> --dims ZxYxX [--type f64|f32]\n"
       "               [--eb 1e-6] [--abs] [--interp cubic|linear] [--block-side N]\n"
       "               [--backend interp|wavelet] [--codec probe|tryall|rle]\n"
+      "               (--block-side omitted or 0: the whole field as one block;\n"
+      "               writes format v2 for interp, v3 for wavelet)\n"
       "  ipc retrieve <archive.ipc> <output.raw>\n"
       "               [--eb E | --bytes N | --bitrate B | --full]\n"
       "               [--region z0:z1xy0:y1xx0:x1] [--dry-run]\n"
@@ -373,11 +377,13 @@ int do_info(const Args& a) {
               << h.block_levels.size() << " blocks)\n"
               << "values      : " << values << " (" << outliers
               << " outliers)\n";
-    return 0;
+    // A one-block grid (the whole-field default) still lists its levels.
+    if (h.block_levels.size() != 1) return 0;
   }
+  const auto& levels = h.block_side != 0 ? h.block_levels[0] : h.levels;
   std::cout << "levels      :\n";
-  for (std::size_t li = h.levels.size(); li-- > 0;) {
-    const auto& l = h.levels[li];
+  for (std::size_t li = levels.size(); li-- > 0;) {
+    const auto& l = levels[li];
     std::cout << "  level " << li + 1 << ": " << l.count << " values, "
               << (l.progressive ? std::to_string(l.n_planes) + " bitplanes"
                                 : std::string("solid"))

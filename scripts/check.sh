@@ -104,6 +104,43 @@ for f in "${src_files[@]}"; do
            | cut -d: -f1 | sed 's/$/:/')
 done
 
+# One writer path: compress() writes a whole field as a one-block grid, so the
+# legacy whole-field layout — the v1 container and a block side of 0 — may be
+# named in src/ only on the read side: the container parser (io/archive.*),
+# header parsing (core/header.cpp from Header::parse on), the block grid
+# (core/blocks.hpp) and the progressive reader.  Anywhere else it would be a
+# second write path.
+for f in "${src_files[@]}"; do
+  case "$f" in
+    src/io/archive.* | src/core/blocks.hpp | src/core/progressive_reader.*) continue ;;
+  esac
+  while IFS=: read -r line _; do
+    fail "$f:$line: legacy whole-field layout outside the read side (write through the block path)"
+  done < <(strip_comments "$f" \
+           | if [ "$f" = src/core/header.cpp ]; then
+               awk '/^Header Header::parse\(/ { exit } { print }'
+             else cat; fi \
+           | grep -nE 'kArchiveV1|block_side[[:space:]]*==[[:space:]]*0' \
+           | cut -d: -f1 | sed 's/$/:/')
+done
+
+# An ArchiveBuilder left at its default version writes a v1 container, so a
+# builder outside src/io/ must pick its version explicitly.
+for f in "${src_files[@]}"; do
+  case "$f" in
+    src/io/*) continue ;;
+    # Exempt: PMGARD's baseline container is v1 by design (no block axis; a
+    # golden pins its bytes) and no IPComp reader opens it.
+    src/mgard/mgard.cpp) continue ;;
+  esac
+  strip_comments "$f" | grep -q 'set_version(' && continue
+  while IFS=: read -r line _; do
+    fail "$f:$line: ArchiveBuilder without set_version (the default writes a v1 container)"
+  done < <(strip_comments "$f" \
+           | grep -nE '(^|[^[:alnum:]_])ArchiveBuilder[[:space:]]+[[:alnum:]_]+' \
+           | cut -d: -f1 | sed 's/$/:/')
+done
+
 # NOLINT policy: only the narrow check-scoped forms are allowed —
 # NOLINT(check), NOLINTNEXTLINE(check), NOLINTBEGIN(check)/NOLINTEND(check).
 for f in "${sources[@]}"; do

@@ -75,9 +75,9 @@ void accumulate_loss(std::span<const std::uint32_t> values,
   }
 }
 
-/// Chunk width shared by the fused encode pass and truncation_loss_table so
-/// both produce the same per-chunk partials (max-merge is exact either way;
-/// matching widths just keeps the two paths trivially comparable).
+/// Values per chunk of the fused encode pass: each chunk keeps its own OR
+/// mask and loss table, merged by OR/max afterwards, so the result does not
+/// depend on the thread count.
 constexpr std::size_t kLossChunk = 1 << 16;
 
 }  // namespace
@@ -97,32 +97,6 @@ PlaneBits extract_plane(const TransposeOps& ops,
 
 PlaneBits extract_plane(std::span<const std::uint32_t> values, unsigned k) {
   return extract_plane(transpose_ops(), values, k);
-}
-
-std::array<PlaneBits, kPlaneCount> extract_all_planes(
-    const TransposeOps& ops, std::span<const std::uint32_t> values) {
-  const std::size_t n = values.size();
-  const std::size_t nbytes = plane_bytes(n);
-  std::array<PlaneBits, kPlaneCount> planes;
-  for (auto& p : planes) p.assign(nbytes, 0);
-
-  parallel_for(0, tile_count(n), [&](std::size_t t) {
-    const std::size_t lo = t * kTileValues;
-    const std::size_t cnt = std::min(kTileValues, n - lo);
-    std::uint64_t words[kPlaneCount];
-    std::uint32_t mask = ops.tile_fwd(values.data() + lo, cnt, words);
-    while (mask) {
-      const unsigned k = static_cast<unsigned>(std::countr_zero(mask));
-      mask &= mask - 1;
-      store_word(planes[k].data() + 8 * t, plane_bytes(cnt), words[k]);
-    }
-  }, kTileGrain);
-  return planes;
-}
-
-std::array<PlaneBits, kPlaneCount> extract_all_planes(
-    std::span<const std::uint32_t> values) {
-  return extract_all_planes(transpose_ops(), values);
 }
 
 void deposit_plane(const TransposeOps& ops, std::span<std::uint32_t> values,
@@ -174,29 +148,6 @@ void deposit_planes(std::span<std::uint32_t> values,
   deposit_planes(transpose_ops(), values, planes);
 }
 
-std::array<std::int64_t, kPlaneCount + 1> truncation_loss_table(
-    std::span<const std::uint32_t> values) {
-  // Per-chunk partial tables merged by max (the per-depth maximum commutes
-  // with partitioning the value set).
-  const std::size_t n_chunks = (values.size() + kLossChunk - 1) / kLossChunk;
-  if (n_chunks <= 1) {
-    std::array<std::int64_t, kPlaneCount + 1> table{};
-    accumulate_loss(values, table);
-    return table;
-  }
-  std::vector<std::array<std::int64_t, kPlaneCount + 1>> partial(
-      n_chunks, std::array<std::int64_t, kPlaneCount + 1>{});
-  parallel_chunks(0, values.size(), kLossChunk, [&](std::size_t lo,
-                                                    std::size_t hi) {
-    accumulate_loss(values.subspan(lo, hi - lo), partial[lo / kLossChunk]);
-  });
-  std::array<std::int64_t, kPlaneCount + 1> table{};
-  for (const auto& p : partial) {
-    for (unsigned d = 0; d <= kPlaneCount; ++d) table[d] = std::max(table[d], p[d]);
-  }
-  return table;
-}
-
 LevelEncoding encode_level(const TransposeOps& ops,
                            std::span<const std::uint32_t> codes,
                            bool with_loss) {
@@ -209,9 +160,8 @@ LevelEncoding encode_level(const TransposeOps& ops,
   // One chunked pass: each chunk transposes its tiles into the plane buffers
   // (disjoint byte ranges) and, while the codes are still cache-hot, feeds
   // the same values to the loss accumulator.  Chunk-local OR masks and loss
-  // tables merge by OR/max, so the result is thread-count independent and
-  // bit-identical to the separate plane_count / truncation_loss_table /
-  // extract_all_planes sweeps this replaces.
+  // tables merge by OR/max (the per-depth maximum commutes with partitioning
+  // the value set), so the result is thread-count independent.
   constexpr std::size_t kChunkTiles = kLossChunk / kTileValues;
   const std::size_t tiles = tile_count(n);
   const std::size_t n_chunks = (tiles + kChunkTiles - 1) / kChunkTiles;

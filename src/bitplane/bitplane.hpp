@@ -36,12 +36,6 @@ PlaneBits extract_plane(const TransposeOps& ops,
                         std::span<const std::uint32_t> values, unsigned k);
 PlaneBits extract_plane(std::span<const std::uint32_t> values, unsigned k);
 
-/// Extract all 32 planes at once (single tiled pass over the values).
-std::array<PlaneBits, kPlaneCount> extract_all_planes(
-    const TransposeOps& ops, std::span<const std::uint32_t> values);
-std::array<PlaneBits, kPlaneCount> extract_all_planes(
-    std::span<const std::uint32_t> values);
-
 /// OR plane `k` back into `values` (values' bit k must currently be zero).
 void deposit_plane(const TransposeOps& ops, std::span<std::uint32_t> values,
                    std::span<const std::uint8_t> plane, unsigned k);
@@ -64,17 +58,16 @@ void deposit_planes(const TransposeOps& ops, std::span<std::uint32_t> values,
 void deposit_planes(std::span<std::uint32_t> values,
                     std::span<const PlaneSpan> planes);
 
-/// Exact truncation-loss table: entry d is max_i |Σ_{k<d} b_k(-2)^k| over all
-/// values, i.e. the worst value lost by dropping the d lowest planes
-/// (in quantization-step units).  entry 0 is 0; entries run to 32.
-std::array<std::int64_t, kPlaneCount + 1> truncation_loss_table(
-    std::span<const std::uint32_t> values);
-
 /// Fused single-pass level encoding: plane count, truncation-loss table and
 /// all plane buffers, computed tile-by-tile while the codes are cache-hot.
+/// This is the one bitplane encoder: every backend and the PMGARD baseline
+/// split their levels through it.
 struct LevelEncoding {
   unsigned n_planes = 0;  ///< highest populated plane + 1 (0: all zero)
-  /// Negabinary truncation losses (valid when requested; see encode_level).
+  /// Exact negabinary truncation losses (valid when requested; see
+  /// encode_level): entry d is max_i |Σ_{k<d} b_k(-2)^k| over all values,
+  /// i.e. the worst value lost by dropping the d lowest planes, in
+  /// quantization-step units.  Entry 0 is 0; entries run to 32.
   std::array<std::int64_t, kPlaneCount + 1> loss{};
   /// Packed planes, index k in [0, n_planes).
   std::vector<PlaneBits> planes;
@@ -83,8 +76,7 @@ struct LevelEncoding {
 /// One pass over `codes` producing the level's plane split.  `with_loss`
 /// additionally accumulates the exact truncation-loss table (backends with
 /// their own loss model — e.g. wavelet's measured tables — skip it).
-/// Results are bit-identical to plane_count + truncation_loss_table +
-/// extract_all_planes run separately.
+/// Results do not depend on the thread count.
 LevelEncoding encode_level(const TransposeOps& ops,
                            std::span<const std::uint32_t> codes,
                            bool with_loss);

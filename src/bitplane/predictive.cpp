@@ -9,22 +9,6 @@
 
 namespace ipcomp {
 
-void predictive_transform(std::span<const std::uint8_t> plane_k,
-                          std::span<const std::uint8_t>* prefix_planes,
-                          unsigned prefix_count,
-                          std::span<std::uint8_t> out) {
-  if (out.size() != plane_k.size()) {
-    throw std::invalid_argument("predictive_transform: size mismatch");
-  }
-  parallel_for(0, plane_k.size(), [&](std::size_t i) {
-    std::uint8_t pred = 0;
-    for (unsigned p = 0; p < prefix_count; ++p) {
-      pred ^= prefix_planes[p][i];
-    }
-    out[i] = plane_k[i] ^ pred;
-  }, /*grain=*/1 << 16);
-}
-
 void predictive_decode_planes(std::span<const std::uint32_t> values,
                               std::span<const MutablePlane> planes,
                               unsigned prefix_bits) {

@@ -19,20 +19,10 @@ namespace ipcomp {
 
 inline constexpr unsigned kDefaultPrefixBits = 2;
 
-/// XOR-combine the `prefix_bits` planes above plane `k` into a prediction
-/// mask for plane `k`.  `plane(j)` must return the packed bits of plane j for
-/// j in (k, k+prefix]; planes above 31 are all zero.
-///
-/// encode: out = plane_k ^ prediction;  decode: plane_k = out ^ prediction.
-/// Both are this same function applied to packed buffers.
-void predictive_transform(std::span<const std::uint8_t> plane_k,
-                          std::span<const std::uint8_t>* prefix_planes,
-                          unsigned prefix_count,
-                          std::span<std::uint8_t> out);
-
-/// Convenience: transform plane `k` of `values` (packed) using the higher
-/// planes taken directly from `values`.  Used on the encode side where all
-/// planes exist as integers.
+/// Encode plane `k` of `values` (packed bits `plane_k`): XOR it with the
+/// prediction built from the higher planes, read directly from `values`
+/// (planes above 31 are zero).  Used on the encode side where all planes
+/// exist as integers.
 Bytes predictive_encode_plane(std::span<const std::uint32_t> values,
                               std::span<const std::uint8_t> plane_k,
                               unsigned k, unsigned prefix_bits);

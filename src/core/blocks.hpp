@@ -1,4 +1,4 @@
-// Block decomposition of an N-d field (archive format v2).
+// Block decomposition of an N-d field (archive formats v2/v3).
 //
 // A BlockGrid partitions a field into axis-aligned cubes of side `block_side`
 // (edge blocks are clipped to the field boundary).  Blocks are compressed and
@@ -10,6 +10,10 @@
 // Block ordinals are row-major over the block grid (slowest-varying dimension
 // first, like element order), so block numbering — and with it the archive
 // segment order — is deterministic and independent of thread count.
+//
+// compress() always writes a real grid (side >= 2; the whole field is the
+// one-block grid of side max_extent).  Side 0 survives only on the read
+// side, for legacy whole-field archives (v1, v3-whole).
 #pragma once
 
 #include <array>
@@ -38,13 +42,13 @@ inline std::size_t block_line_offset(
 
 struct BlockGrid {
   Dims field_dims;
-  std::size_t block_side = 0;  // 0 = single block covering the whole field
+  std::size_t block_side = 0;  // 0 = legacy whole-field archive (read only)
   std::size_t n_blocks = 1;
   std::array<std::size_t, kMaxRank> grid{};  // blocks per dimension
 
-  /// Derive the grid for a field.  `block_side` 0 yields the legacy single
-  /// whole-field block; 1 is rejected (every element its own block defeats
-  /// interpolation entirely).
+  /// Derive the grid for a field.  `block_side` 0 yields the single block
+  /// of a legacy whole-field archive; 1 is rejected (every element its own
+  /// block defeats interpolation entirely).
   static BlockGrid analyze(const Dims& dims, std::size_t block_side) {
     if (block_side == 1) {
       throw std::invalid_argument("ipcomp: block_side must be 0 (off) or >= 2");

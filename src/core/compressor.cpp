@@ -55,16 +55,15 @@ template <typename T>
 Bytes compress(NdConstView<T> input, const Options& opt) {
   const ProgressiveBackend& backend = backend_for(opt.backend);
   const Dims dims = input.dims();
-  // Any side >= the largest extent yields one block per dimension, so clamp
-  // there: the header stores the side as u32, and grid and header must
+  // One write path: side 0 (the default) asks for the whole field, which
+  // like any side >= the largest extent is one block per dimension, so both
+  // clamp there.  The header stores the side as u32, and grid and header must
   // derive from the same value or the archive becomes unreadable.
-  std::size_t block_side = opt.block_side;
-  if (block_side != 0) {
-    block_side =
-        std::min(block_side, std::max<std::size_t>(2, dims.max_extent()));
-    if (block_side > 0xFFFFFFFFu) {
-      throw std::invalid_argument("ipcomp: block side too large");
-    }
+  const std::size_t max_side = std::max<std::size_t>(2, dims.max_extent());
+  const std::size_t block_side =
+      opt.block_side != 0 ? std::min(opt.block_side, max_side) : max_side;
+  if (block_side > 0xFFFFFFFFu) {
+    throw std::invalid_argument("ipcomp: block side too large");
   }
   const BlockGrid grid = BlockGrid::analyze(dims, block_side);
 
@@ -94,44 +93,29 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
   header.backend = opt.backend;
   header.backend_meta = backend.metadata(header);
 
-  // The interpolation backend keeps writing the original self-describing
-  // v1/v2 containers; any other backend needs the v3 header (backend id +
-  // metadata) and therefore the v3 container.
+  // The interpolation backend writes the v2 container; any other backend
+  // needs the v3 header (backend id + metadata) and therefore v3.
   ArchiveBuilder builder;
-  if (opt.backend == BackendId::kInterp) {
-    builder.set_version(block_side == 0 ? kArchiveV1 : kArchiveV2);
-  } else {
-    builder.set_version(kArchiveV3);
-  }
+  builder.set_version(opt.backend == BackendId::kInterp ? kArchiveV2
+                                                        : kArchiveV3);
   builder.set_integrity(opt.integrity);
 
-  if (block_side == 0) {
-    // Legacy whole-field mode: one block spanning the field; the backend's
-    // inner loops parallelize.
-    BlockCompressResult res =
-        backend.compress_block(original, work, dims, estrides, eb, opt, 0);
-    header.levels = std::move(res.levels);
-    for (auto& [id, payload] : res.segments) {
+  // The whole pipeline runs per block, concurrently.  grain=2 keeps a lone
+  // block (the whole-field default) out of a parallel region so its inner
+  // loops can still use the pool.
+  std::vector<BlockCompressResult> results(grid.n_blocks);
+  parallel_for(0, grid.n_blocks, [&](std::size_t b) {
+    const std::size_t org = grid.origin_linear(b);
+    results[b] = backend.compress_block(original + org,
+                                        work ? work + org : nullptr,
+                                        grid.block_dims(b), estrides, eb, opt,
+                                        static_cast<std::uint32_t>(b));
+  }, /*grain=*/2);
+  header.block_levels.resize(grid.n_blocks);
+  for (std::size_t b = 0; b < grid.n_blocks; ++b) {
+    header.block_levels[b] = std::move(results[b].levels);
+    for (auto& [id, payload] : results[b].segments) {
       builder.add_segment(id, std::move(payload));
-    }
-  } else {
-    // Block mode: the whole pipeline runs per block, concurrently.  grain=2
-    // keeps a lone block out of a parallel region so its inner loops can
-    // still use the pool.
-    std::vector<BlockCompressResult> results(grid.n_blocks);
-    parallel_for(0, grid.n_blocks, [&](std::size_t b) {
-      const std::size_t org = grid.origin_linear(b);
-      results[b] = backend.compress_block(original + org,
-                                          work ? work + org : nullptr,
-                                          grid.block_dims(b), estrides, eb,
-                                          opt, static_cast<std::uint32_t>(b));
-    }, /*grain=*/2);
-    header.block_levels.resize(grid.n_blocks);
-    for (std::size_t b = 0; b < grid.n_blocks; ++b) {
-      header.block_levels[b] = std::move(results[b].levels);
-      for (auto& [id, payload] : results[b].segments) {
-        builder.add_segment(id, std::move(payload));
-      }
     }
   }
 

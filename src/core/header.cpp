@@ -49,16 +49,19 @@ std::vector<LevelHeader> read_levels(ByteReader& r) {
 }  // namespace
 
 Bytes Header::serialize() const {
+  // Whole-field layouts (v1, and v3 with side 0) are read-only: compress()
+  // writes the whole field as a one-block grid.
+  if (block_side < 2) {
+    throw std::logic_error("header: whole-field layouts are read-only");
+  }
   ByteWriter w;
-  const bool v3 = backend != BackendId::kInterp;
-  const bool v2 = !v3 && block_side != 0;
-  if (v3) {
+  if (backend == BackendId::kInterp) {
+    w.u8(kHeaderV2Tag);
+  } else {
     w.u8(kHeaderV3Tag);
     w.u8(static_cast<std::uint8_t>(backend));
     w.varint(backend_meta.size());
     w.bytes(backend_meta);
-  } else if (v2) {
-    w.u8(kHeaderV2Tag);
   }
   w.u8(static_cast<std::uint8_t>(dtype));
   w.u8(static_cast<std::uint8_t>(dims.rank()));
@@ -68,15 +71,7 @@ Bytes Header::serialize() const {
   w.u8(static_cast<std::uint8_t>(prefix_bits));
   w.f64(data_min);
   w.f64(data_max);
-  if (!v2 && !v3) {
-    write_levels(w, levels);
-    return w.take();
-  }
   w.varint(block_side);
-  if (v3 && block_side == 0) {
-    write_levels(w, levels);
-    return w.take();
-  }
   w.varint(block_levels.size());
   for (const auto& bl : block_levels) write_levels(w, bl);
   return w.take();

@@ -41,8 +41,9 @@ struct LevelHeader {
   std::uint64_t count = 0;       // elements (slots) at this level
   bool progressive = false;      // bitplaned vs stored whole
   std::uint32_t n_planes = 0;    // stored planes: bits [0, n_planes)
-  /// truncation_loss_table entries 0..n_planes, in quantization-step units:
-  /// worst |value| lost by zeroing the d lowest planes.
+  /// Truncation-loss entries 0..n_planes, in quantization-step units: worst
+  /// |value| lost by zeroing the d lowest planes (encode_level's table for
+  /// the interpolation backend).
   std::vector<std::uint64_t> loss;
   std::uint64_t outlier_count = 0;
 };
@@ -55,30 +56,33 @@ struct Header {
   std::uint32_t prefix_bits = 2;
   double data_min = 0.0;
   double data_max = 0.0;
-  /// Block decomposition side length (archive format v2+); 0 = whole-field
-  /// archive described by `levels` alone.
+  /// Block decomposition side length.  compress() always writes >= 2 (the
+  /// whole field is a one-block grid); 0 only comes out of parse() for legacy
+  /// whole-field archives (v1, v3-whole) described by `levels` alone.
   std::uint32_t block_side = 0;
   /// Progressive backend that produced (and can decode) the payload.  The
-  /// interpolation backend keeps writing the v1/v2 layouts; any other backend
-  /// forces the v3 layout, which records the id plus an opaque metadata blob
+  /// interpolation backend writes the v2 layout; any other backend forces
+  /// the v3 layout, which records the id plus an opaque metadata blob
   /// the backend validates and interprets itself.
   BackendId backend = BackendId::kInterp;
   Bytes backend_meta;
   /// Layout the header was parsed from (1, 2 or 3).  Output of parse() only;
   /// serialize() derives the layout from `backend` and `block_side`.
   std::uint8_t format = 1;
-  /// Index 0 = finest level (level 1 in the paper's numbering).  Used when
-  /// block_side == 0.
+  /// Index 0 = finest level (level 1 in the paper's numbering).  Parse
+  /// result of legacy whole-field archives only (block_side 0); never
+  /// serialized.
   std::vector<LevelHeader> levels;
   /// Per-block level tables (block ordinal -> levels), used when
-  /// block_side != 0.  Block geometry is derived from dims + block_side
+  /// block_side >= 2.  Block geometry is derived from dims + block_side
   /// (BlockGrid), so only the level tables are serialized.
   std::vector<std::vector<LevelHeader>> block_levels;
 
-  /// Self-versioned: whole-field interp headers serialize in the v1 layout
-  /// (first byte = dtype, 0 or 1), block interp headers prepend a format tag
-  /// byte 2, and non-interp backends prepend tag 3 followed by the backend id
-  /// and metadata blob.  parse() distinguishes them by that first byte.
+  /// Self-versioned: interp headers serialize with a format tag byte 2, and
+  /// non-interp backends with tag 3 followed by the backend id and metadata
+  /// blob.  parse() additionally reads the legacy whole-field layouts — v1
+  /// (first byte = dtype, 0 or 1) and v3 with side 0 — which serialize()
+  /// refuses to write (std::logic_error for block_side < 2).
   Bytes serialize() const;
   static Header parse(const Bytes& raw);
 };

@@ -34,9 +34,10 @@ BlockCompressResult compress_impl(const T* original, T* work,
     levels[li].codes.assign(ls.level_count[li], 0);
   }
 
-  // Outlier lists are per block; the mutex only matters in whole-field mode,
-  // where the sweep's line loop is the parallel one.  In block mode the
-  // nested-parallelism guard keeps this sweep serial and the lock free.
+  // Outlier lists are per block; the mutex only matters when the block runs
+  // alone (one-block grid, e.g. the whole-field default), where the sweep's
+  // line loop is the parallel one.  With several blocks the nested-
+  // parallelism guard keeps this sweep serial and the lock free.
   Mutex outlier_mutex;
 
   // In-loop quantization: the working buffer holds reconstructed values so
@@ -95,7 +96,7 @@ BlockCompressResult compress_impl(const T* original, T* work,
         serialize_base_segment(scratch, true, opt.codec));
 
     append_plane_segments(scratch.codes, std::move(enc.planes), level_tag,
-                          block, opt, out.segments);
+                          block, opt.prefix_bits, opt.codec, out.segments);
   }
   return out;
 }

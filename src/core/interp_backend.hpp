@@ -6,7 +6,9 @@
 // dequantized codes (Algorithm 1), and a delta sweep over newly deposited
 // bits for incremental refinement (Algorithm 2).  This backend is the
 // behavior-preserving refactor of the original hardwired pipeline: archives
-// are byte-identical to those written before the seam existed (v1/v2).
+// are byte-identical to those written before the seam existed (v2; the
+// whole field is now written as a one-block v2 grid, and legacy v1
+// archives still read).
 #pragma once
 
 #include "core/backend.hpp"

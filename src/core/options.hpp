@@ -48,11 +48,12 @@ struct Options {
   /// comparisons against other compressors).
   bool integrity = true;
 
-  /// Side length of the cubic blocks the field is decomposed into (archive
-  /// format v2).  Blocks are compressed independently and concurrently, and
-  /// readers can decode only the blocks intersecting a region of interest.
-  /// 0 = legacy whole-field mode (archive format v1); 1 is rejected.  For
-  /// throughput, pick a side so the block count is at least the thread count
+  /// Side length of the cubic blocks the field is decomposed into.  Blocks
+  /// are compressed independently and concurrently, and readers can decode
+  /// only the blocks intersecting a region of interest.  0 (the default) =
+  /// the whole field as one block, exactly like any side >= the largest
+  /// extent; 1 is rejected.  Archives are v2 (interp) or v3 (other
+  /// backends) either way.  For throughput, pick a side so the block count is at least the thread count
   /// (e.g. 64 for a 256^3 field); tiny blocks cost compression ratio.
   std::size_t block_side = 0;
 };

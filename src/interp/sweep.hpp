@@ -45,7 +45,9 @@ struct LevelStructure {
     s.dims = dims;
     std::size_t max_e = dims.max_extent();
     unsigned L = 1;
-    while ((std::size_t{1} << L) < max_e) ++L;
+    // Capped so the shift stays defined: extents past 2^63 only come from
+    // forged headers, whose level tables then fail validation.
+    while (L < 63 && (std::size_t{1} << L) < max_e) ++L;
     s.num_levels = L;
     s.level_count.assign(L, 0);
     s.passes.assign(L, {});

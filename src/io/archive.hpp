@@ -15,7 +15,10 @@
 // v2 adds one for block-decomposed archives (kind:8 | level:8 | plane:12 |
 // block:36).  v3 keeps the v2 key packing and differs only in its header,
 // which names the progressive backend that owns the payload.  Readers accept
-// all three, keyed off the version word.
+// all three, keyed off the version word.  compress() writes only v2 (interp)
+// and v3 (other backends) — a whole field is a one-block grid — so IPComp v1
+// archives are read-only legacy; the builder's v1 default remains for
+// PMGARD, whose own container never had a block axis.
 //
 // v4 is an *integrity wrapper* around any base version, adding a per-segment
 // checksum column to the table:
@@ -45,7 +48,7 @@
 namespace ipcomp {
 
 /// Archive format versions (the u32 after the magic).
-inline constexpr std::uint32_t kArchiveV1 = 1;  // whole-field, no block axis
+inline constexpr std::uint32_t kArchiveV1 = 1;  // no block axis (legacy IPComp, PMGARD)
 inline constexpr std::uint32_t kArchiveV2 = 2;  // block-decomposed fields
 /// v3 containers key segments exactly like v2 but carry a v3 header
 /// (backend id + metadata); written by every non-interpolation backend.

@@ -8,7 +8,8 @@
 #include "bitplane/negabinary.hpp"
 #include "bitplane/predictive.hpp"
 #include "coding/codec.hpp"
-#include "core/header.hpp"  // kSegPlane segment kind
+#include "core/backend.hpp"  // append_plane_segments
+#include "core/header.hpp"   // kSegPlane segment kind
 #include "interp/sweep.hpp"
 #include "io/archive.hpp"
 #include "loader/optimizer.hpp"
@@ -88,19 +89,32 @@ Bytes serialize_header(const ParsedHeader& h) {
   return w.take();
 }
 
+/// Validates like Header::parse: the level table must match the structure
+/// derived from the dims, since retrieve() sizes the coefficient arrays from
+/// it and mgard_recompose indexes them by that structure.
 ParsedHeader parse_header(const Bytes& raw) {
   ByteReader r({raw.data(), raw.size()});
   ParsedHeader h;
   std::size_t rank = r.u8();
+  if (rank == 0 || rank > kMaxRank) throw std::runtime_error("pmgard: bad rank");
   std::size_t extents[kMaxRank];
   for (std::size_t i = 0; i < rank; ++i) extents[i] = r.varint();
   h.dims = Dims::of_rank(rank, extents);
   h.eb = r.f64();
-  h.levels.resize(r.varint());
-  for (LevelInfo& l : h.levels) {
+  const LevelStructure ls = LevelStructure::analyze(h.dims);
+  if (r.varint() != ls.num_levels) {
+    throw std::runtime_error("pmgard: level count does not match dims");
+  }
+  h.levels.resize(ls.num_levels);
+  for (std::size_t li = 0; li < h.levels.size(); ++li) {
+    LevelInfo& l = h.levels[li];
     l.count = r.varint();
+    if (l.count != ls.level_count[li]) {
+      throw std::runtime_error("pmgard: level size does not match dims");
+    }
     l.scale = r.f64();
     l.n_planes = static_cast<std::uint32_t>(r.varint());
+    if (l.n_planes > kPlaneCount) throw std::runtime_error("pmgard: bad plane count");
     l.loss.resize(l.n_planes + 1);
     for (auto& v : l.loss) v = r.varint();
   }
@@ -126,6 +140,9 @@ Bytes PmgardCompressor::compress(NdConstView<double> data, double eb_abs) {
   h.dims = dims;
   h.eb = eb_abs;
   h.levels.resize(L);
+  // PMGARD keeps the builder's default v1 container (no block axis): its
+  // archive bytes are pinned by a golden, and the IPComp readers never see
+  // them.
   ArchiveBuilder builder;
 
   for (unsigned li = 0; li < L; ++li) {
@@ -146,28 +163,18 @@ Bytes PmgardCompressor::compress(NdConstView<double> data, double eb_abs) {
           static_cast<std::int64_t>(std::llround(coeffs[li][i] * to_fixed)));
     }, /*grain=*/1 << 14);
 
-    std::uint32_t all = 0;
-    for (auto c : codes) all |= c;
-    const unsigned n_planes = all == 0 ? 0 : 32 - __builtin_clz(all);
-    info.n_planes = n_planes;
-    auto loss = truncation_loss_table(codes);
-    info.loss.resize(n_planes + 1);
-    for (unsigned d = 0; d <= n_planes; ++d) {
-      info.loss[d] = static_cast<std::uint64_t>(loss[d]);
+    LevelEncoding enc = encode_level(codes, /*with_loss=*/true);
+    info.n_planes = enc.n_planes;
+    info.loss.resize(enc.n_planes + 1);
+    for (unsigned d = 0; d <= enc.n_planes; ++d) {
+      info.loss[d] = static_cast<std::uint64_t>(enc.loss[d]);
     }
-
-    if (n_planes > 0) {
-      auto planes = extract_all_planes(codes);
-      std::vector<Bytes> packed(n_planes);
-      parallel_for(0, n_planes, [&](std::size_t k) {
-        Bytes enc = predictive_encode_plane(codes, planes[k],
-                                            static_cast<unsigned>(k), kPrefixBits);
-        packed[k] = codec_compress({enc.data(), enc.size()}, codec_);
-      }, /*grain=*/1);
-      for (unsigned k = 0; k < n_planes; ++k) {
-        builder.add_segment({kSegPlane, static_cast<std::uint16_t>(li + 1), k},
-                            std::move(packed[k]));
-      }
+    std::vector<std::pair<SegmentId, Bytes>> segments;
+    append_plane_segments(codes, std::move(enc.planes),
+                          static_cast<std::uint16_t>(li + 1), /*block=*/0,
+                          kPrefixBits, codec_, segments);
+    for (auto& [id, payload] : segments) {
+      builder.add_segment(id, std::move(payload));
     }
   }
   builder.set_header(serialize_header(h));
@@ -212,7 +219,9 @@ Retrieval PmgardCompressor::retrieve(const Bytes& archive, double error_target,
     plan = plan_error_bound(inputs, error_target - floor_err);
   }
 
-  // Fetch planes (MSB first) and rebuild the selected-precision coefficients.
+  // Fetch each level's selected planes (MSB first), decode their predictive
+  // residuals as one batch and deposit them in one pass, as the IPComp
+  // reader does; then rebuild the selected-precision coefficients.
   std::vector<std::vector<double>> coeffs(L);
   for (unsigned li = 0; li < L; ++li) {
     const LevelInfo& info = h.levels[li];
@@ -220,15 +229,20 @@ Retrieval PmgardCompressor::retrieve(const Bytes& archive, double error_target,
     if (info.n_planes == 0) continue;
     std::vector<std::uint32_t> codes(info.count, 0);
     const unsigned use = plan.planes_to_use[li];
-    for (unsigned used = 1; used <= use; ++used) {
-      const unsigned k = info.n_planes - used;
+    std::vector<Bytes> planes(use);
+    std::vector<MutablePlane> batch(use);
+    std::vector<PlaneSpan> spans(use);
+    for (unsigned i = 0; i < use; ++i) {
+      const unsigned k = info.n_planes - 1 - i;
       Bytes seg =
           src.read_segment({kSegPlane, static_cast<std::uint16_t>(li + 1), k});
-      Bytes enc = codec_decompress({seg.data(), seg.size()},
+      planes[i] = codec_decompress({seg.data(), seg.size()},
                                    plane_bytes(info.count));
-      Bytes plane = predictive_encode_plane(codes, enc, k, kPrefixBits);
-      deposit_plane(codes, plane, k);
+      batch[i] = {k, {planes[i].data(), planes[i].size()}};
+      spans[i] = {k, {planes[i].data(), planes[i].size()}};
     }
+    predictive_decode_planes(codes, batch, kPrefixBits);
+    deposit_planes(codes, spans);
     const double from_fixed = info.scale * std::ldexp(1.0, -kFixedBits);
     parallel_for(0, codes.size(), [&](std::size_t i) {
       coeffs[li][i] =

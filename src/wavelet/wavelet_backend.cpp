@@ -341,7 +341,7 @@ BlockCompressResult compress_impl(const T* original, const Dims& bd,
         SegmentId{kSegBase, level_tag, 0, block},
         serialize_base_segment(scratch, true, opt.codec));
     append_plane_segments(scratch.codes, std::move(enc.planes), level_tag,
-                          block, opt, out.segments);
+                          block, opt.prefix_bits, opt.codec, out.segments);
   }
   return out;
 }

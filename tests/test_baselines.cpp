@@ -4,6 +4,8 @@
 #include "baselines/multi_fidelity.hpp"
 #include "baselines/residual.hpp"
 #include "baselines/sz3.hpp"
+#include "interp/sweep.hpp"
+#include "io/archive.hpp"
 #include "mgard/mgard.hpp"
 #include "test_util.hpp"
 #include "transform/zfp.hpp"
@@ -215,6 +217,87 @@ TEST(Pmgard, ByteBudgetedRetrieval) {
   auto half = pm.retrieve_bytes(archive, archive.size() / 2);
   EXPECT_LE(half.bytes_loaded, archive.size() / 2);
   EXPECT_LE(linf(field.const_view(), half.data), half.guaranteed_error * (1 + 1e-9));
+}
+
+// A PMGARD container around a hand-written header: rank, extents, then per
+// level (count, n_planes) with unit scale and an all-zero loss table (at
+// most 65 entries, so forged plane counts stay cheap to write).  No plane
+// segments, so a header that parses decodes to all zeros.
+Bytes pmgard_archive(std::size_t rank, const std::vector<std::uint64_t>& extents,
+                     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& levels) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(rank));
+  for (std::uint64_t e : extents) w.varint(e);
+  w.f64(1e-6);
+  w.varint(levels.size());
+  for (auto [count, n_planes] : levels) {
+    w.varint(count);
+    w.f64(1.0);
+    w.varint(n_planes);
+    for (std::uint64_t d = 0; d <= n_planes && d <= 64; ++d) w.varint(0);
+  }
+  ArchiveBuilder b;
+  b.set_header(w.take());
+  return b.finish();
+}
+
+/// The genuine level table of a 1-d field of `n` values, as (count, 0) pairs.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> level_table(std::size_t n) {
+  const LevelStructure ls = LevelStructure::analyze(Dims{n});
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> t;
+  for (std::size_t c : ls.level_count) t.emplace_back(c, 0);
+  return t;
+}
+
+TEST(PmgardForged, RankBeyondMaxRejected) {
+  // rank 12 would write extents past the kMaxRank-slot array.
+  PmgardCompressor pm;
+  const std::vector<std::uint64_t> extents(12, 3);
+  EXPECT_THROW(pm.decompress(pmgard_archive(12, extents, {})), std::runtime_error);
+  EXPECT_THROW(pm.decompress(pmgard_archive(0, {}, {})), std::runtime_error);
+}
+
+TEST(PmgardForged, HugeExtentRejected) {
+  // Deriving the level structure of a forged 2^63+1 extent must stay
+  // defined behaviour and end in a clean rejection.
+  PmgardCompressor pm;
+  EXPECT_THROW(pm.decompress(pmgard_archive(1, {(std::uint64_t{1} << 63) + 1}, {})),
+               std::runtime_error);
+}
+
+TEST(PmgardForged, LevelCountMismatchRejected) {
+  PmgardCompressor pm;
+  auto table = level_table(33);
+  table.emplace_back(1, 0);
+  EXPECT_THROW(pm.decompress(pmgard_archive(1, {33}, table)), std::runtime_error);
+  table.resize(2);
+  EXPECT_THROW(pm.decompress(pmgard_archive(1, {33}, table)), std::runtime_error);
+}
+
+TEST(PmgardForged, ShortLevelCountRejected) {
+  // A level smaller than the structure's would let mgard_recompose index
+  // past the decoded coefficients.  The genuine table decodes (to zeros).
+  PmgardCompressor pm;
+  EXPECT_EQ(pm.decompress(pmgard_archive(1, {33}, level_table(33))),
+            std::vector<double>(33, 0.0));
+  for (std::size_t li = 0; li < level_table(33).size(); ++li) {
+    auto table = level_table(33);
+    table[li].first -= 1;
+    EXPECT_THROW(pm.decompress(pmgard_archive(1, {33}, table)), std::runtime_error)
+        << "level " << li;
+  }
+}
+
+TEST(PmgardForged, PlaneCountBeyond32Rejected) {
+  // Rejected before the count sizes the loss table (a forged 2^40 would
+  // otherwise drive a multi-terabyte resize()).
+  PmgardCompressor pm;
+  for (std::uint64_t n_planes : {std::uint64_t{33}, std::uint64_t{1} << 40}) {
+    auto table = level_table(33);
+    table[0].second = n_planes;
+    EXPECT_THROW(pm.decompress(pmgard_archive(1, {33}, table)), std::runtime_error)
+        << n_planes;
+  }
 }
 
 // ------------------------------------------------------------------ SPERR --

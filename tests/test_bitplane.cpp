@@ -2,10 +2,13 @@
 
 #include "bitplane/bitplane.hpp"
 #include "bitplane/negabinary.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
 namespace {
+
+using testutil::all_planes;
 
 std::vector<std::uint32_t> random_values(std::size_t n, std::uint64_t seed,
                                          unsigned max_bits = 32) {
@@ -32,7 +35,7 @@ TEST(Bitplane, ExtractDepositSinglePlane) {
 
 TEST(Bitplane, ExtractAllMatchesSingle) {
   auto values = random_values(777, 2);  // odd size exercises the tail byte
-  auto all = extract_all_planes(values);
+  auto all = all_planes(values);
   for (unsigned k = 0; k < kPlaneCount; ++k) {
     EXPECT_EQ(all[k], extract_plane(values, k)) << "plane " << k;
   }
@@ -40,7 +43,7 @@ TEST(Bitplane, ExtractAllMatchesSingle) {
 
 TEST(Bitplane, FullSplitJoinRoundTrip) {
   auto values = random_values(4096, 3);
-  auto all = extract_all_planes(values);
+  auto all = all_planes(values);
   std::vector<std::uint32_t> rebuilt(values.size(), 0);
   for (unsigned k = 0; k < kPlaneCount; ++k) {
     deposit_plane(rebuilt, all[k], k);
@@ -50,10 +53,10 @@ TEST(Bitplane, FullSplitJoinRoundTrip) {
 
 TEST(Bitplane, EmptyInput) {
   std::vector<std::uint32_t> empty;
-  auto all = extract_all_planes(empty);
-  for (auto& p : all) EXPECT_TRUE(p.empty());
-  auto table = truncation_loss_table(empty);
-  for (auto v : table) EXPECT_EQ(v, 0);
+  auto enc = encode_level(empty, /*with_loss=*/true);
+  EXPECT_EQ(enc.n_planes, 0u);
+  EXPECT_TRUE(enc.planes.empty());
+  for (auto v : enc.loss) EXPECT_EQ(v, 0);
 }
 
 TEST(Bitplane, PlaneBytesRounding) {
@@ -65,7 +68,7 @@ TEST(Bitplane, PlaneBytesRounding) {
 
 TEST(Bitplane, TruncationTableMatchesBruteForce) {
   auto values = random_values(2000, 4, 20);
-  auto table = truncation_loss_table(values);
+  auto table = encode_level(values, /*with_loss=*/true).loss;
   for (unsigned d = 0; d <= kPlaneCount; ++d) {
     std::int64_t expected = 0;
     for (auto v : values) {
@@ -79,7 +82,7 @@ TEST(Bitplane, TruncationTableSmallMagnitudes) {
   // Values representing small quantization codes: only low planes populated.
   std::vector<std::uint32_t> values;
   for (std::int64_t q = -50; q <= 50; ++q) values.push_back(negabinary_encode(q));
-  auto table = truncation_loss_table(values);
+  auto table = encode_level(values, /*with_loss=*/true).loss;
   EXPECT_EQ(table[0], 0);
   // Dropping everything loses at most the max magnitude.
   EXPECT_EQ(table[kPlaneCount], 50);
@@ -91,7 +94,7 @@ TEST(Bitplane, TruncationTableSmallMagnitudes) {
 
 TEST(Bitplane, TruncationTableZeroValues) {
   std::vector<std::uint32_t> values(100, 0);
-  auto table = truncation_loss_table(values);
+  auto table = encode_level(values, /*with_loss=*/true).loss;
   for (auto v : table) EXPECT_EQ(v, 0);
 }
 

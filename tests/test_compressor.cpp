@@ -153,7 +153,7 @@ TEST(Compressor, ExtremeValuesBecomeOutliers) {
   EXPECT_EQ(reader.data()[500], -1e18);
   EXPECT_LE(linf(field.const_view(), reader.data()), 1e-9 * (1 + 1e-9));
   std::uint64_t outliers = 0;
-  for (auto& l : reader.header().levels) outliers += l.outlier_count;
+  for (auto& l : reader.header().block_levels.at(0)) outliers += l.outlier_count;
   EXPECT_GE(outliers, 2u);
 }
 
@@ -180,30 +180,51 @@ TEST(Compressor, HeaderDescribesArchive) {
   EXPECT_EQ(h.dtype, DataType::kFloat64);
   EXPECT_EQ(h.interp, InterpKind::kCubic);
   EXPECT_EQ(h.prefix_bits, 2u);
-  EXPECT_EQ(h.levels.size(), LevelStructure::analyze(h.dims).num_levels);
+  // The default whole-field mode is a one-block grid of side max_extent.
+  EXPECT_EQ(h.format, 2u);
+  EXPECT_EQ(h.block_side, 40u);
+  EXPECT_TRUE(h.levels.empty());
+  ASSERT_EQ(h.block_levels.size(), 1u);
+  const auto& levels = h.block_levels[0];
+  EXPECT_EQ(levels.size(), LevelStructure::analyze(h.dims).num_levels);
   std::size_t total = 0;
-  for (auto& l : h.levels) total += l.count;
+  for (auto& l : levels) total += l.count;
   EXPECT_EQ(total, field.count());
 }
 
 TEST(Compressor, HeaderForgedLevelCountRejected) {
-  Header h;
-  h.dtype = DataType::kFloat64;
-  h.dims = Dims{8};
-  h.eb = 1e-6;
-  h.interp = InterpKind::kCubic;
-  h.prefix_bits = 0;
-  h.data_min = 0.0;
-  h.data_max = 1.0;
-  Bytes raw = h.serialize();
-  // With zero levels the level-count varint is the final byte; replace it
-  // with a huge ten-byte varint.  parse() must reject the count instead of
-  // letting it drive a multi-terabyte resize().
-  ASSERT_EQ(raw.back(), 0x00);
-  raw.pop_back();
+  // A v1 (legacy whole-field) header, written field by field since
+  // serialize() no longer emits that layout.
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(DataType::kFloat64));
+  w.u8(1);      // rank
+  w.varint(8);  // dims
+  w.f64(1e-6);  // eb
+  w.u8(static_cast<std::uint8_t>(InterpKind::kCubic));
+  w.u8(0);      // prefix bits
+  w.f64(0.0);   // data_min
+  w.f64(1.0);   // data_max
+  Bytes raw = w.take();
+  // The level-count varint comes last: make it a huge ten-byte varint.
+  // parse() must reject the count instead of letting it drive a
+  // multi-terabyte resize().
   raw.insert(raw.end(), 9, 0xFF);
   raw.push_back(0x01);
   EXPECT_THROW(Header::parse(raw), std::runtime_error);
+}
+
+TEST(Compressor, HeaderWholeFieldLayoutsNotWritten) {
+  // Whole-field (side 0) layouts are read-only for every backend; side 1 is
+  // no grid at all.
+  for (auto backend : {BackendId::kInterp, BackendId::kWavelet}) {
+    for (std::uint32_t side : {0u, 1u}) {
+      Header h;
+      h.dims = Dims{8};
+      h.backend = backend;
+      h.block_side = side;
+      EXPECT_THROW(h.serialize(), std::logic_error) << side;
+    }
+  }
 }
 
 TEST(Compressor, HeaderSerializationRoundTrip) {
@@ -215,16 +236,19 @@ TEST(Compressor, HeaderSerializationRoundTrip) {
   h.prefix_bits = 3;
   h.data_min = -2.5;
   h.data_max = 9.75;
-  h.levels.resize(2);
-  h.levels[0].count = 300;
-  h.levels[0].progressive = true;
-  h.levels[0].n_planes = 5;
-  h.levels[0].loss = {0, 1, 2, 5, 10, 21};
-  h.levels[0].outlier_count = 3;
-  h.levels[1].count = 108;
-  h.levels[1].progressive = false;
-  h.levels[1].n_planes = 0;
-  h.levels[1].loss = {0};
+  h.block_side = 34;  // one block
+  h.block_levels.resize(1);
+  auto& levels = h.block_levels[0];
+  levels.resize(2);
+  levels[0].count = 300;
+  levels[0].progressive = true;
+  levels[0].n_planes = 5;
+  levels[0].loss = {0, 1, 2, 5, 10, 21};
+  levels[0].outlier_count = 3;
+  levels[1].count = 108;
+  levels[1].progressive = false;
+  levels[1].n_planes = 0;
+  levels[1].loss = {0};
   Bytes raw = h.serialize();
   Header back = Header::parse(raw);
   EXPECT_EQ(back.dtype, h.dtype);
@@ -234,10 +258,13 @@ TEST(Compressor, HeaderSerializationRoundTrip) {
   EXPECT_EQ(back.prefix_bits, h.prefix_bits);
   EXPECT_EQ(back.data_min, h.data_min);
   EXPECT_EQ(back.data_max, h.data_max);
-  ASSERT_EQ(back.levels.size(), 2u);
-  EXPECT_EQ(back.levels[0].loss, h.levels[0].loss);
-  EXPECT_EQ(back.levels[0].outlier_count, 3u);
-  EXPECT_FALSE(back.levels[1].progressive);
+  EXPECT_EQ(back.format, 2u);
+  EXPECT_EQ(back.block_side, 34u);
+  ASSERT_EQ(back.block_levels.size(), 1u);
+  ASSERT_EQ(back.block_levels[0].size(), 2u);
+  EXPECT_EQ(back.block_levels[0][0].loss, levels[0].loss);
+  EXPECT_EQ(back.block_levels[0][0].outlier_count, 3u);
+  EXPECT_FALSE(back.block_levels[0][1].progressive);
 }
 
 TEST(Compressor, PrefixBitsVariantsRoundTrip) {

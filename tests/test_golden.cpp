@@ -16,6 +16,14 @@
 //     reconstruction hashes must equal the try-all ones at every request:
 //     routing is a size/speed decision, never a fidelity one.
 //
+// The whole-field writer cases (block_side 0) are written as one-block
+// grids: their archive constants are new, their reconstructions are the
+// legacy ones.  The legacy whole-field bytes themselves (v1 interp, v3-whole
+// wavelet) are committed fixtures under tests/data/ that must keep hashing
+// to, and decoding exactly like, the legacy constants — the read-side pin
+// that no longer needs a legacy writer.  One PMGARD case pins the baseline's
+// archive bytes and a progressive retrieval.
+//
 // The synthetic fields use only exact integer arithmetic and single-rounded
 // double products (no libm transcendentals), so the inputs are bit-identical
 // on every platform.  Set IPCOMP_GOLDEN_PRINT=1 to print the current hashes
@@ -25,10 +33,13 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/compressor.hpp"
 #include "core/progressive_reader.hpp"
+#include "mgard/mgard.hpp"
 #include "util/ndarray.hpp"
 #include "util/rng.hpp"
 
@@ -80,6 +91,24 @@ struct GoldenHashes {
   std::uint64_t full;    // after retrieve(Request::full())
 };
 
+/// Hash the archive and the coarse / mid / full reconstructions of the
+/// golden request sequence.
+template <typename T>
+GoldenHashes decode_hashes(const Bytes& archive) {
+  GoldenHashes g{};
+  g.archive = fnv1a(archive.data(), archive.size());
+  MemorySource src{Bytes(archive)};
+  ProgressiveReader<T> reader(src);
+  const double eb = reader.compression_eb();
+  reader.retrieve(Request::error_bound(1e3 * eb));
+  g.coarse = hash_values(reader.data());
+  reader.retrieve(Request::error_bound(8 * eb));
+  g.mid = hash_values(reader.data());
+  reader.retrieve(Request::full());
+  g.full = hash_values(reader.data());
+  return g;
+}
+
 template <typename T>
 GoldenHashes run_case(const Dims& dims, BackendId be, std::size_t block_side,
                       std::size_t threshold, std::uint64_t seed,
@@ -94,20 +123,7 @@ GoldenHashes run_case(const Dims& dims, BackendId be, std::size_t block_side,
   // The constants pin the pre-v4 container bytes; the v4 integrity wrapper
   // is covered by Golden.IntegrityV4Transparent below.
   opt.integrity = false;
-  Bytes archive = compress(field.const_view(), opt);
-
-  GoldenHashes g{};
-  g.archive = fnv1a(archive.data(), archive.size());
-  MemorySource src{Bytes(archive)};
-  ProgressiveReader<T> reader(src);
-  const double eb = reader.compression_eb();
-  reader.retrieve(Request::error_bound(1e3 * eb));
-  g.coarse = hash_values(reader.data());
-  reader.retrieve(Request::error_bound(8 * eb));
-  g.mid = hash_values(reader.data());
-  reader.retrieve(Request::full());
-  g.full = hash_values(reader.data());
-  return g;
+  return decode_hashes<T>(compress(field.const_view(), opt));
 }
 
 bool print_mode() { return std::getenv("IPCOMP_GOLDEN_PRINT") != nullptr; }
@@ -130,7 +146,9 @@ void check(const char* name, const GoldenHashes& got, const GoldenHashes& want) 
 
 // Hashes captured from the pre-refactor (PR 4) scalar bitplane pipeline
 // with the try-everything codec stage — the bytes every pre-orchestration
-// release wrote.  The try-all policy must keep reproducing them forever.
+// release wrote.  The try-all policy must keep reproducing them forever
+// (kInterpV1 and kWaveletV3Whole through the committed fixtures, since
+// whole-field fields are now written as one-block grids).
 // Regenerate with IPCOMP_GOLDEN_PRINT=1 only for an intentional format change.
 constexpr GoldenHashes kInterpV1{0xa13f829c7531238bull, 0x943ee1de74eef67aull,
                                  0x24ce5fd5878279efull, 0x24ce5fd5878279efull};
@@ -151,11 +169,19 @@ constexpr GoldenHashes kWaveletV3Block{0x2a677ed253ba40dbull,
 // hashes are NOT new constants: a probe-policy case must reproduce the
 // try-all reconstructions exactly (same decode at every request), which
 // each test asserts by reusing the legacy constants' decode fields.
-constexpr std::uint64_t kInterpV1ProbeArchive = 0x804531af03a6bdcfull;
 constexpr std::uint64_t kInterpV2ProbeArchive = 0x8b86671dbf178deeull;
 constexpr std::uint64_t kInterpV2F32ProbeArchive = 0xf5fb583307d20e69ull;
-constexpr std::uint64_t kWaveletV3WholeProbeArchive = 0x1e6dccaabbcd88d9ull;
 constexpr std::uint64_t kWaveletV3BlockProbeArchive = 0xedd47ae5a904bbcbull;
+
+// Whole-field writes (block_side 0) as one-block grids: the bytes the
+// one-block writer produced for block_side = max_extent before whole-field
+// became an alias for it (v2 tag + side + block count: +3 bytes for interp,
+// +1 for wavelet over the legacy layouts).  Reconstructions stay kInterpV1 /
+// kWaveletV3Whole.
+constexpr std::uint64_t kInterpWholeArchive = 0xf88d39db94436684ull;
+constexpr std::uint64_t kInterpWholeProbeArchive = 0xd6acaa1edf6a193cull;
+constexpr std::uint64_t kWaveletWholeArchive = 0x1ea4cf0c4b658535ull;
+constexpr std::uint64_t kWaveletWholeProbeArchive = 0x62680979c3d32f73ull;
 
 /// Probe-policy expectation: new archive bytes, identical reconstructions.
 constexpr GoldenHashes with_archive(std::uint64_t archive,
@@ -186,10 +212,11 @@ void run_golden(const GoldenCase& c) {
         with_archive(c.probe_archive, c.legacy));
 }
 
-TEST(Golden, InterpV1Whole) {
-  run_golden<double>({"interp v1 whole-field 40^3 f64", Dims{40, 40, 40},
-                      BackendId::kInterp, 0, 4096, 11, kInterpV1,
-                      kInterpV1ProbeArchive});
+TEST(Golden, InterpWholeField) {
+  run_golden<double>({"interp v2 whole-field 40^3 f64", Dims{40, 40, 40},
+                      BackendId::kInterp, 0, 4096, 11,
+                      with_archive(kInterpWholeArchive, kInterpV1),
+                      kInterpWholeProbeArchive});
 }
 
 TEST(Golden, InterpV2Block) {
@@ -204,10 +231,63 @@ TEST(Golden, InterpV2BlockF32) {
                      kInterpV2F32ProbeArchive});
 }
 
-TEST(Golden, WaveletV3Whole) {
+TEST(Golden, WaveletWholeField) {
   run_golden<double>({"wavelet v3 whole-field 24^3 f64", Dims{24, 24, 24},
-                      BackendId::kWavelet, 0, 256, 14, kWaveletV3Whole,
-                      kWaveletV3WholeProbeArchive});
+                      BackendId::kWavelet, 0, 256, 14,
+                      with_archive(kWaveletWholeArchive, kWaveletV3Whole),
+                      kWaveletWholeProbeArchive});
+}
+
+// ---- legacy whole-field fixtures ------------------------------------------
+// Written by the last release with a whole-field writer (compress(),
+// kTryAll, integrity off; the InterpWholeField / WaveletWholeField inputs).
+
+Bytes read_fixture(const char* name) {
+  const std::string path = std::string(IPCOMP_TEST_DATA_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("missing fixture " + path);
+  return Bytes(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+}
+
+template <typename T>
+void check_fixture(const char* file, std::uint32_t version,
+                   const GoldenHashes& want) {
+  const Bytes archive = read_fixture(file);
+  MemorySource src{Bytes(archive)};
+  EXPECT_EQ(src.version(), version) << file;
+  EXPECT_EQ(Header::parse(src.header()).block_side, 0u) << file;
+  check(file, decode_hashes<T>(archive), want);
+}
+
+TEST(Golden, LegacyInterpV1FixtureDecodes) {
+  check_fixture<double>("interp_v1_whole_40.ipc", kArchiveV1, kInterpV1);
+}
+
+TEST(Golden, LegacyWaveletV3WholeFixtureDecodes) {
+  check_fixture<double>("wavelet_v3_whole_24.ipc", kArchiveV3, kWaveletV3Whole);
+}
+
+// ---- PMGARD ----------------------------------------------------------------
+// The baseline shares the level encoder and the batched predictive decode;
+// its v1-container bytes and progressive reconstructions must not move.
+
+TEST(Golden, PmgardArchiveAndRetrieval) {
+  auto field = golden_field<double>(Dims{24, 24, 24}, 17);
+  PmgardCompressor pm;
+  const Bytes archive = pm.compress(field.const_view(), 1e-6);
+  const std::uint64_t h_archive = fnv1a(archive.data(), archive.size());
+  const std::uint64_t h_coarse = hash_values(pm.retrieve_error(archive, 1e-2).data);
+  if (print_mode()) {
+    std::printf("  // pmgard: {archive, retrieve_error(1e-2)}\n"
+                "  {0x%016llxull, 0x%016llxull},\n",
+                static_cast<unsigned long long>(h_archive),
+                static_cast<unsigned long long>(h_coarse));
+    return;
+  }
+  EXPECT_EQ(h_archive, 0x70201b480d672da6ull) << "PMGARD archive bytes changed";
+  EXPECT_EQ(h_coarse, 0x96ae65d6b185d09full)
+      << "PMGARD retrieve_error reconstruction changed";
 }
 
 TEST(Golden, WaveletV3Block) {

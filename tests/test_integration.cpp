@@ -132,12 +132,13 @@ TEST(Robustness, ZfpRejectsRank4) {
 TEST(Robustness, ReaderRejectsWrongHeaderCounts) {
   auto field = testutil::smooth_field(Dims{16, 16}, 2);
   Bytes archive = compress(field.const_view(), {});
-  // Parse, corrupt the header's dims, rebuild: the reader must notice the
-  // level-structure mismatch rather than crash.
+  // Parse, corrupt the header's dims (still one 16-side block), rebuild: the
+  // reader must notice the level-structure mismatch rather than crash.
   MemorySource good{Bytes(archive)};
   Header h = Header::parse(good.header());
-  h.dims = Dims{16, 17};
+  h.dims = Dims{16, 15};
   ArchiveBuilder b;
+  b.set_version(good.version());
   b.set_header(h.serialize());
   MemorySource bad(b.finish());
   EXPECT_THROW(ProgressiveReader<double> reader(bad), std::runtime_error);

@@ -4,10 +4,13 @@
 #include "bitplane/negabinary.hpp"
 #include "bitplane/predictive.hpp"
 #include "coding/entropy.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
 namespace {
+
+using testutil::all_planes;
 
 std::vector<std::uint32_t> quantization_like_values(std::size_t n, std::uint64_t seed) {
   // Codes that look like interpolation residuals: small, zero-centered.
@@ -22,7 +25,7 @@ std::vector<std::uint32_t> quantization_like_values(std::size_t n, std::uint64_t
 
 TEST(Predictive, TransformIsInvolution) {
   auto values = quantization_like_values(5000, 1);
-  auto planes = extract_all_planes(values);
+  auto planes = all_planes(values);
   for (unsigned k = 0; k < 12; ++k) {
     for (unsigned prefix : {1u, 2u, 3u}) {
       Bytes enc = predictive_encode_plane(values, planes[k], k, prefix);
@@ -36,7 +39,7 @@ TEST(Predictive, TransformIsInvolution) {
 TEST(Predictive, TopPlaneUnchangedByPrediction) {
   // Plane 31 has no prefix planes: prediction is zero.
   auto values = quantization_like_values(1000, 2);
-  auto planes = extract_all_planes(values);
+  auto planes = all_planes(values);
   Bytes enc = predictive_encode_plane(values, planes[31], 31, 2);
   EXPECT_EQ(enc, planes[31]);
 }
@@ -45,7 +48,7 @@ TEST(Predictive, DecodingWithPartialCodesMatches) {
   // During retrieval the decoder applies the transform against codes that
   // hold only planes above k — exactly the bits prediction uses.
   auto values = quantization_like_values(3000, 3);
-  auto planes = extract_all_planes(values);
+  auto planes = all_planes(values);
   const unsigned prefix = 2;
   std::vector<std::uint32_t> partial(values.size(), 0);
   for (unsigned k = kPlaneCount; k-- > 0;) {
@@ -61,7 +64,7 @@ TEST(Predictive, ReducesEntropyOnCorrelatedPlanes) {
   // Table 2 of the paper: predictive coding lowers bit entropy of the plane
   // stream on quantization-code-like data.
   auto values = quantization_like_values(100000, 4);
-  auto planes = extract_all_planes(values);
+  auto planes = all_planes(values);
   double h_orig = 0.0, h_pred = 0.0;
   std::size_t counted = 0;
   for (unsigned k = 0; k < 16; ++k) {
@@ -71,28 +74,6 @@ TEST(Predictive, ReducesEntropyOnCorrelatedPlanes) {
     ++counted;
   }
   EXPECT_LT(h_pred, h_orig);
-}
-
-TEST(Predictive, GenericTransformMatchesValueBased) {
-  auto values = quantization_like_values(2048, 5);
-  auto planes = extract_all_planes(values);
-  unsigned k = 5;
-  std::span<const std::uint8_t> prefixes[2] = {
-      {planes[k + 1].data(), planes[k + 1].size()},
-      {planes[k + 2].data(), planes[k + 2].size()},
-  };
-  Bytes out(planes[k].size());
-  predictive_transform(planes[k], prefixes, 2, out);
-  Bytes expected = predictive_encode_plane(values, planes[k], k, 2);
-  EXPECT_EQ(out, expected);
-}
-
-TEST(Predictive, ZeroPrefixIsIdentity) {
-  auto values = quantization_like_values(512, 6);
-  auto planes = extract_all_planes(values);
-  Bytes out(planes[3].size());
-  predictive_transform(planes[3], nullptr, 0, out);
-  EXPECT_EQ(out, planes[3]);
 }
 
 }  // namespace

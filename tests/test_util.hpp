@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "bitplane/bitplane.hpp"
 #include "util/dims.hpp"
 #include "util/ndarray.hpp"
 #include "util/rng.hpp"
@@ -52,6 +54,14 @@ double linf(NdConstView<T> a, const std::vector<T>& b) {
     m = std::max(m, std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i])));
   }
   return m;
+}
+
+/// All 32 planes of `values` through the shared level encoder: planes at or
+/// above encode_level's n_planes are all-zero buffers.
+inline std::vector<PlaneBits> all_planes(std::span<const std::uint32_t> values) {
+  std::vector<PlaneBits> planes = encode_level(values, /*with_loss=*/false).planes;
+  planes.resize(kPlaneCount, PlaneBits(plane_bytes(values.size()), 0));
+  return planes;
 }
 
 template <typename T>
