@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -238,10 +239,9 @@ CodecCensus codec_census(int reps, std::size_t n) {
                               std::pair<unsigned, unsigned>{404, 20}}) {
     std::vector<std::uint32_t> codes = synth_codes(n, seed, spread);
     LevelEncoding enc = encode_level(codes, /*with_loss=*/false);
-    for (unsigned k = 0; k < enc.n_planes; ++k) {
-      segs.push_back(predictive_encode_plane(codes, enc.planes[k], k,
-                                             /*prefix_bits=*/2));
-    }
+    predictive_encode_planes(enc.planes, /*prefix_bits=*/2);
+    segs.insert(segs.end(), std::make_move_iterator(enc.planes.begin()),
+                std::make_move_iterator(enc.planes.end()));
   }
   c.segments = segs.size();
   for (const Bytes& s : segs) c.raw_bytes += s.size();

@@ -47,38 +47,14 @@ inline std::size_t tile_count(std::size_t n) {
 /// work, so ~512 tiles (32 Ki values) is where forking a team starts paying.
 constexpr std::size_t kTileGrain = 512;
 
-void accumulate_loss(std::span<const std::uint32_t> values,
-                     std::array<std::int64_t, kPlaneCount + 1>& table) {
-  // loss_v(d) = |decode(low d bits of v)| is piecewise constant in d: it only
-  // changes at d = k+1 for set bits k, so walk each value's set bits and
-  // range-update the table over (k, next_set_bit].  Note loss_v(d) is NOT
-  // monotone in d (a higher negabinary bit can cancel lower ones), which is
-  // why the table is exact per depth instead of a running maximum.
-  for (std::uint32_t v : values) {
-    if (v == 0) continue;
-    std::int64_t acc = 0;
-    std::uint32_t bits = v;
-    unsigned k = static_cast<unsigned>(__builtin_ctz(bits));
-    while (true) {
-      bits &= bits - 1;
-      // (-2)^k = 2^k with sign by parity of k.
-      std::int64_t w = std::int64_t{1} << k;
-      acc += (k & 1u) ? -w : w;
-      std::int64_t mag = acc < 0 ? -acc : acc;
-      unsigned next = bits ? static_cast<unsigned>(__builtin_ctz(bits)) : kPlaneCount;
-      for (unsigned d = k + 1; d <= next; ++d) {
-        if (mag > table[d]) table[d] = mag;
-      }
-      if (!bits) break;
-      k = next;
-    }
-  }
-}
-
 /// Values per chunk of the fused encode pass: each chunk keeps its own OR
 /// mask and loss table, merged by OR/max afterwards, so the result does not
 /// depend on the thread count.
 constexpr std::size_t kLossChunk = 1 << 16;
+
+/// Tiles per loss-kernel call: 1 Ki values (4 KiB of codes) stay L1-resident
+/// across the kernel's per-depth passes.
+constexpr std::size_t kLossGroupTiles = 16;
 
 }  // namespace
 
@@ -97,17 +73,6 @@ PlaneBits extract_plane(const TransposeOps& ops,
 
 PlaneBits extract_plane(std::span<const std::uint32_t> values, unsigned k) {
   return extract_plane(transpose_ops(), values, k);
-}
-
-void deposit_plane(const TransposeOps& ops, std::span<std::uint32_t> values,
-                   std::span<const std::uint8_t> plane, unsigned k) {
-  const PlaneSpan one{k, plane};
-  deposit_planes(ops, values, {&one, 1});
-}
-
-void deposit_plane(std::span<std::uint32_t> values,
-                   std::span<const std::uint8_t> plane, unsigned k) {
-  deposit_plane(transpose_ops(), values, plane, k);
 }
 
 void deposit_planes(const TransposeOps& ops, std::span<std::uint32_t> values,
@@ -158,10 +123,11 @@ LevelEncoding encode_level(const TransposeOps& ops,
   for (auto& p : planes) p.assign(nbytes, 0);
 
   // One chunked pass: each chunk transposes its tiles into the plane buffers
-  // (disjoint byte ranges) and, while the codes are still cache-hot, feeds
-  // the same values to the loss accumulator.  Chunk-local OR masks and loss
-  // tables merge by OR/max (the per-depth maximum commutes with partitioning
-  // the value set), so the result is thread-count independent.
+  // (disjoint byte ranges) and, group by group while the codes are still
+  // cache-hot, feeds the same values to the loss kernel, which only walks the
+  // depths up to the group's top plane.  Chunk-local OR masks and loss tables
+  // merge by OR/max (the per-depth maximum commutes with partitioning the
+  // value set), so the result is thread-count independent.
   constexpr std::size_t kChunkTiles = kLossChunk / kTileValues;
   const std::size_t tiles = tile_count(n);
   const std::size_t n_chunks = (tiles + kChunkTiles - 1) / kChunkTiles;
@@ -171,26 +137,33 @@ LevelEncoding encode_level(const TransposeOps& ops,
   parallel_chunks(0, tiles, kChunkTiles, [&](std::size_t t_lo,
                                              std::size_t t_hi) {
     const std::size_t c = t_lo / kChunkTiles;
+    if (with_loss) chunk_loss[c] = {};
     std::uint32_t orall = 0;
-    for (std::size_t t = t_lo; t < t_hi; ++t) {
-      const std::size_t lo = t * kTileValues;
-      const std::size_t cnt = std::min(kTileValues, n - lo);
-      std::uint64_t words[kPlaneCount];
-      std::uint32_t mask = ops.tile_fwd(codes.data() + lo, cnt, words);
-      orall |= mask;
-      while (mask) {
-        const unsigned k = static_cast<unsigned>(std::countr_zero(mask));
-        mask &= mask - 1;
-        store_word(planes[k].data() + 8 * t, plane_bytes(cnt), words[k]);
+    for (std::size_t g_lo = t_lo; g_lo < t_hi; g_lo += kLossGroupTiles) {
+      const std::size_t g_hi = std::min(t_hi, g_lo + kLossGroupTiles);
+      std::uint32_t group_or = 0;
+      for (std::size_t t = g_lo; t < g_hi; ++t) {
+        const std::size_t lo = t * kTileValues;
+        const std::size_t cnt = std::min(kTileValues, n - lo);
+        std::uint64_t words[kPlaneCount];
+        std::uint32_t mask = ops.tile_fwd(codes.data() + lo, cnt, words);
+        group_or |= mask;
+        while (mask) {
+          const unsigned k = static_cast<unsigned>(std::countr_zero(mask));
+          mask &= mask - 1;
+          store_word(planes[k].data() + 8 * t, plane_bytes(cnt), words[k]);
+        }
+      }
+      orall |= group_or;
+      if (with_loss && group_or != 0) {
+        const std::size_t v_lo = g_lo * kTileValues;
+        const std::size_t v_hi = std::min(n, g_hi * kTileValues);
+        ops.loss_update(codes.data() + v_lo, v_hi - v_lo,
+                        32u - static_cast<unsigned>(std::countl_zero(group_or)),
+                        chunk_loss[c].data());
       }
     }
     chunk_or[c] = orall;
-    if (with_loss) {
-      const std::size_t v_lo = t_lo * kTileValues;
-      const std::size_t v_hi = std::min(n, t_hi * kTileValues);
-      chunk_loss[c] = {};
-      accumulate_loss(codes.subspan(v_lo, v_hi - v_lo), chunk_loss[c]);
-    }
   });
 
   std::uint32_t orall = 0;

@@ -36,12 +36,6 @@ PlaneBits extract_plane(const TransposeOps& ops,
                         std::span<const std::uint32_t> values, unsigned k);
 PlaneBits extract_plane(std::span<const std::uint32_t> values, unsigned k);
 
-/// OR plane `k` back into `values` (values' bit k must currently be zero).
-void deposit_plane(const TransposeOps& ops, std::span<std::uint32_t> values,
-                   std::span<const std::uint8_t> plane, unsigned k);
-void deposit_plane(std::span<std::uint32_t> values,
-                   std::span<const std::uint8_t> plane, unsigned k);
-
 /// One plane handed to the multi-plane deposit: its index and packed bits
 /// (bits.size() == plane_bytes(values.size())).
 struct PlaneSpan {
@@ -67,7 +61,9 @@ struct LevelEncoding {
   /// Exact negabinary truncation losses (valid when requested; see
   /// encode_level): entry d is max_i |Σ_{k<d} b_k(-2)^k| over all values,
   /// i.e. the worst value lost by dropping the d lowest planes, in
-  /// quantization-step units.  Entry 0 is 0; entries run to 32.
+  /// quantization-step units.  Entry 0 is 0; entries run to 32.  Computed by
+  /// the dispatched min/max kernel (TransposeOps::loss_update) per depth up
+  /// to each group's top plane; entries above the top repeat the top's.
   std::array<std::int64_t, kPlaneCount + 1> loss{};
   /// Packed planes, index k in [0, n_planes).
   std::vector<PlaneBits> planes;

@@ -8,21 +8,36 @@
 // The transform is an involution given the prefix planes, so decoding applies
 // the same XOR.  The paper measures 2 prefix bits as the sweet spot
 // (Table 2); that is the default everywhere.
+//
+// On packed planes the residual of plane k is p_k ^ p_{k+1} ^ ... ^
+// p_{k+prefix} (planes at or above the top are zero).  Every entry point
+// below runs that as one word-wide XOR of packed buffers: the encoder in
+// place over the planes encode_level produced (LSB-first, so the prefix
+// planes are still the originals), the decoder MSB-first over freshly
+// fetched planes.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "bitplane/bitplane.hpp"
 #include "io/bytes.hpp"
 
 namespace ipcomp {
 
 inline constexpr unsigned kDefaultPrefixBits = 2;
 
-/// Encode plane `k` of `values` (packed bits `plane_k`): XOR it with the
-/// prediction built from the higher planes, read directly from `values`
-/// (planes above 31 are zero).  Used on the encode side where all planes
-/// exist as integers.
+/// Encode a level's planes in place: `planes` holds planes 0 .. n-1 as
+/// split by encode_level (index = plane), and each becomes its prediction
+/// residual over `prefix_bits` higher planes (0: unchanged).  One pass over
+/// the packed buffers, parallel over byte ranges; the bytes do not depend on
+/// the thread count.
+void predictive_encode_planes(std::span<PlaneBits> planes, unsigned prefix_bits);
+
+/// Encode plane `k` (packed bits `plane_k`) on its own: XOR it with the
+/// prediction built from the higher planes of `values` (planes above 31 are
+/// zero), extracted through the same kernel.  Applied to a residual against
+/// values that hold only the planes above k, it decodes instead.
 Bytes predictive_encode_plane(std::span<const std::uint32_t> values,
                               std::span<const std::uint8_t> plane_k,
                               unsigned k, unsigned prefix_bits);

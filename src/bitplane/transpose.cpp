@@ -1,6 +1,9 @@
 #include "bitplane/transpose.hpp"
 
+#include <algorithm>
 #include <bit>
+
+#include "bitplane/negabinary.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define IPCOMP_X86_KERNELS 1
@@ -61,8 +64,46 @@ void tile_deposit_scalar(std::uint32_t* v, std::size_t n,
   }
 }
 
+// Truncation-loss kernel shared pieces: the depth's mask and negabinary
+// offset, the scalar min/max walk (every tier's tail), and the merge of one
+// depth's w-range into the table.
+
+inline std::uint32_t depth_mask(unsigned d) {
+  return d >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << d) - 1u;
+}
+
+void minmax_w_scalar(const std::uint32_t* v, std::size_t n, std::uint32_t m,
+                     std::uint32_t a, std::uint32_t& lo, std::uint32_t& hi) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t w = (v[j] & m) ^ a;
+    lo = std::min(lo, w);
+    hi = std::max(hi, w);
+  }
+}
+
+void merge_depth(std::int64_t* loss, unsigned d, unsigned top,
+                 std::uint32_t lo, std::uint32_t hi) {
+  const std::int64_t a = kNegabinaryMask & depth_mask(d);
+  const std::int64_t r = std::max(std::int64_t{hi} - a, a - std::int64_t{lo});
+  // Values are below 2^top: every depth from top on drops all their bits.
+  const unsigned last = d == top ? 32u : d;
+  for (unsigned e = d; e <= last; ++e) loss[e] = std::max(loss[e], r);
+}
+
+void loss_update_scalar(const std::uint32_t* v, std::size_t n, unsigned top,
+                        std::int64_t* loss) {
+  if (n == 0) return;
+  for (unsigned d = 1; d <= top; ++d) {
+    const std::uint32_t m = depth_mask(d);
+    std::uint32_t lo = ~std::uint32_t{0};
+    std::uint32_t hi = 0;
+    minmax_w_scalar(v, n, m, kNegabinaryMask & m, lo, hi);
+    merge_depth(loss, d, top, lo, hi);
+  }
+}
+
 constexpr TransposeOps kScalarOps{tile_fwd_scalar, tile_fwd_one_scalar,
-                                  tile_deposit_scalar};
+                                  tile_deposit_scalar, loss_update_scalar};
 
 #if IPCOMP_X86_KERNELS
 
@@ -150,8 +191,49 @@ __attribute__((target("sse2"))) void tile_deposit_sse2(
   for (int g = 0; g < 16; ++g) _mm_storeu_si128(p + g, xs[g]);
 }
 
+// SSE2 has no unsigned 32-bit min/max: flipping the sign bit (folded into
+// the XOR constant) makes signed order equal unsigned order, and the signed
+// min/max are a compare plus blend.
+__attribute__((target("sse2"))) void loss_update_sse2(
+    const std::uint32_t* v, std::size_t n, unsigned top, std::int64_t* loss) {
+  if (n == 0) return;
+  constexpr std::uint32_t kSign = 0x80000000u;
+  const std::size_t nv = n & ~std::size_t{3};
+  const auto* p = reinterpret_cast<const __m128i*>(v);
+  for (unsigned d = 1; d <= top; ++d) {
+    const std::uint32_t m = depth_mask(d);
+    const std::uint32_t a = kNegabinaryMask & m;
+    std::uint32_t lo = ~std::uint32_t{0};
+    std::uint32_t hi = 0;
+    if (nv != 0) {
+      const __m128i mv = _mm_set1_epi32(static_cast<int>(m));
+      const __m128i av = _mm_set1_epi32(static_cast<int>(a ^ kSign));
+      __m128i vlo = _mm_set1_epi32(0x7FFFFFFF);
+      __m128i vhi = _mm_set1_epi32(static_cast<int>(kSign));
+      for (std::size_t g = 0; g < nv / 4; ++g) {
+        const __m128i w =
+            _mm_xor_si128(_mm_and_si128(_mm_loadu_si128(p + g), mv), av);
+        const __m128i lt = _mm_cmplt_epi32(w, vlo);
+        vlo = _mm_or_si128(_mm_and_si128(lt, w), _mm_andnot_si128(lt, vlo));
+        const __m128i gt = _mm_cmpgt_epi32(w, vhi);
+        vhi = _mm_or_si128(_mm_and_si128(gt, w), _mm_andnot_si128(gt, vhi));
+      }
+      alignas(16) std::uint32_t los[4];
+      alignas(16) std::uint32_t his[4];
+      _mm_store_si128(reinterpret_cast<__m128i*>(los), vlo);
+      _mm_store_si128(reinterpret_cast<__m128i*>(his), vhi);
+      for (int i = 0; i < 4; ++i) {
+        lo = std::min(lo, los[i] ^ kSign);
+        hi = std::max(hi, his[i] ^ kSign);
+      }
+    }
+    minmax_w_scalar(v + nv, n - nv, m, a, lo, hi);
+    merge_depth(loss, d, top, lo, hi);
+  }
+}
+
 constexpr TransposeOps kSse2Ops{tile_fwd_sse2, tile_fwd_one_sse2,
-                                tile_deposit_sse2};
+                                tile_deposit_sse2, loss_update_sse2};
 
 // ---- AVX2 tier -----------------------------------------------------------
 //
@@ -242,8 +324,43 @@ __attribute__((target("avx2"))) void tile_deposit_avx2(
   for (int g = 0; g < 8; ++g) _mm256_storeu_si256(p + g, xs[g]);
 }
 
+__attribute__((target("avx2"))) void loss_update_avx2(
+    const std::uint32_t* v, std::size_t n, unsigned top, std::int64_t* loss) {
+  if (n == 0) return;
+  const std::size_t nv = n & ~std::size_t{7};
+  const auto* p = reinterpret_cast<const __m256i*>(v);
+  for (unsigned d = 1; d <= top; ++d) {
+    const std::uint32_t m = depth_mask(d);
+    const std::uint32_t a = kNegabinaryMask & m;
+    std::uint32_t lo = ~std::uint32_t{0};
+    std::uint32_t hi = 0;
+    if (nv != 0) {
+      const __m256i mv = _mm256_set1_epi32(static_cast<int>(m));
+      const __m256i av = _mm256_set1_epi32(static_cast<int>(a));
+      __m256i vlo = _mm256_set1_epi32(-1);
+      __m256i vhi = _mm256_setzero_si256();
+      for (std::size_t g = 0; g < nv / 8; ++g) {
+        const __m256i w = _mm256_xor_si256(
+            _mm256_and_si256(_mm256_loadu_si256(p + g), mv), av);
+        vlo = _mm256_min_epu32(vlo, w);
+        vhi = _mm256_max_epu32(vhi, w);
+      }
+      alignas(32) std::uint32_t los[8];
+      alignas(32) std::uint32_t his[8];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(los), vlo);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(his), vhi);
+      for (int i = 0; i < 8; ++i) {
+        lo = std::min(lo, los[i]);
+        hi = std::max(hi, his[i]);
+      }
+    }
+    minmax_w_scalar(v + nv, n - nv, m, a, lo, hi);
+    merge_depth(loss, d, top, lo, hi);
+  }
+}
+
 constexpr TransposeOps kAvx2Ops{tile_fwd_avx2, tile_fwd_one_avx2,
-                                tile_deposit_avx2};
+                                tile_deposit_avx2, loss_update_avx2};
 
 #endif  // IPCOMP_X86_KERNELS
 

@@ -12,6 +12,10 @@
 // set is picked once per process by simd_level() (util/cpu.hpp, overridable
 // via IPCOMP_SIMD).  Tests and benchmarks grab a specific tier through
 // transpose_ops(level) to prove the tiers bit-identical.
+//
+// The same tiers carry the truncation-loss kernel of the fused level
+// encoder (bitplane.hpp, LevelEncoding::loss): it runs over the codes a
+// transpose pass has just left in cache, so it is dispatched alongside.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +43,15 @@ struct TransposeOps {
   void (*tile_deposit)(std::uint32_t* v, std::size_t n,
                        const std::uint64_t* words, const unsigned* ks,
                        std::size_t nk);
+  /// Max-merge the truncation losses of v[0..n) into loss[0..32]: entry d
+  /// becomes max(loss[d], max_j |Σ_{i<d} b_i(v[j]) (-2)^i|).  Every v[j]
+  /// must be below 2^top (top <= 32), so only depths 1..top take a pass and
+  /// deeper entries merge depth top's value.  Per depth d, with m = 2^d - 1
+  /// and A = 0xAAAAAAAA & m, the dropped value is w - A for w = (v & m) ^ A,
+  /// monotone in w, so the loss is max(max w - A, A - min w): an unsigned
+  /// 32-bit min/max per lane.
+  void (*loss_update)(const std::uint32_t* v, std::size_t n, unsigned top,
+                      std::int64_t* loss);
 };
 
 /// Kernel set for an explicit tier, clamped to what this build supports

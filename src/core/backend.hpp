@@ -165,12 +165,11 @@ Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
                              CodecPolicy codec);
 
 /// Pack a progressive level's pre-split planes (from encode_level's fused
-/// pass) into per-plane segments — predictive XOR against `codes` over
-/// `prefix_bits` higher planes (0: none) + codec, planes packed
-/// independently and concurrently — appended to `out` in table order
-/// k = 0 .. planes.size()-1.  Shared by both backends and PMGARD.
-void append_plane_segments(const std::vector<std::uint32_t>& codes,
-                           std::vector<PlaneBits>&& planes,
+/// pass) into per-plane segments — predictive XOR over `prefix_bits` higher
+/// planes (0: none) in place, then the codec, planes packed independently and
+/// concurrently — appended to `out` in table order k = 0 .. planes.size()-1.
+/// Shared by both backends and PMGARD.
+void append_plane_segments(std::vector<PlaneBits>&& planes,
                            std::uint16_t level_tag, std::uint32_t block,
                            unsigned prefix_bits, CodecPolicy codec,
                            std::vector<std::pair<SegmentId, Bytes>>& out);

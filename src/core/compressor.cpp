@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "core/backend.hpp"
@@ -14,22 +15,56 @@ namespace ipcomp {
 
 namespace {
 
+/// Values per chunk of the range scan.  Chunk boundaries are fixed, and
+/// min/max is exact, so the range does not depend on the thread count.
+constexpr std::size_t kRangeChunk = 1 << 16;
+
+/// Finite min/max of the field (0/0 when no value is finite).
 template <typename T>
 std::pair<double, double> min_max(NdConstView<T> v) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < v.count(); ++i) {
-    double x = static_cast<double>(v[i]);
-    if (std::isfinite(x)) {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const T* data = v.data();
+  const std::size_t n = v.count();
+  const std::size_t n_chunks = (n + kRangeChunk - 1) / kRangeChunk;
+  std::vector<std::pair<double, double>> part(n_chunks, {kInf, -kInf});
+  parallel_chunks(0, n, kRangeChunk, [&](std::size_t lo, std::size_t hi) {
+    double mn = kInf;
+    double mx = -kInf;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double x = static_cast<double>(data[i]);
+      if (std::isfinite(x)) {
+        mn = std::min(mn, x);
+        mx = std::max(mx, x);
+      }
     }
+    part[lo / kRangeChunk] = {mn, mx};
+  });
+  double lo = kInf;
+  double hi = -kInf;
+  for (const auto& [mn, mx] : part) {
+    lo = std::min(lo, mn);
+    hi = std::max(hi, mx);
   }
   if (!std::isfinite(lo)) {
     lo = 0.0;
     hi = 0.0;
   }
   return {lo, hi};
+}
+
+/// Copy block `b`'s region of the field into the work buffer, line by line
+/// (lines run along the contiguous last dimension).
+template <typename T>
+void copy_block(const T* src, T* dst, const BlockGrid& grid, std::size_t b,
+                const std::array<std::size_t, kMaxRank>& estrides) {
+  const Dims bd = grid.block_dims(b);
+  const std::size_t org = grid.origin_linear(b);
+  const std::size_t row = bd[bd.rank() - 1];
+  if (row == 0) return;
+  parallel_for(0, bd.count() / row, [&](std::size_t line) {
+    const std::size_t off = org + block_line_offset(bd, estrides, line);
+    std::copy_n(src + off, row, dst + off);
+  }, /*grain=*/64);
 }
 
 }  // namespace
@@ -39,10 +74,21 @@ double resolve_error_bound(const Options& opt, double data_min, double data_max)
   if (!(opt.error_bound > 0.0) || !std::isfinite(opt.error_bound)) {
     throw std::invalid_argument("ipcomp: error bound must be positive");
   }
-  if (!opt.relative) return opt.error_bound;
-  double range = data_max - data_min;
-  if (range <= 0.0) range = 1.0;  // constant field: any positive bound works
-  return opt.error_bound * range;
+  double eb = opt.error_bound;
+  if (opt.relative) {
+    double range = data_max - data_min;
+    if (range <= 0.0) range = 1.0;  // constant field: any positive bound works
+    eb *= range;
+  }
+  // The quantizer's bin width is 2*eb: a bound whose double overflows (or a
+  // relative bound over a range that does) would decode to inf/NaN, and one
+  // that underflows to zero cannot quantize at all.
+  if (!(eb > 0.0) || !std::isfinite(2.0 * eb)) {
+    throw std::invalid_argument(
+        "ipcomp: error bound must resolve to a positive value whose double is "
+        "finite");
+  }
+  return eb;
 }
 
 template <typename T>
@@ -72,12 +118,14 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
 
   // The work buffer is a mutable copy of the field (interp keeps its in-loop
   // reconstruction there); transform backends never touch it, so skip the
-  // field-sized allocation for them.
-  std::vector<T> xhat;
+  // field-sized allocation for them.  It is allocated uninitialized and each
+  // block copies its own region inside the parallel block loop, which
+  // spreads the copy and its first-touch page faults over the threads.
+  std::unique_ptr<T[]> xhat;
   if (backend.needs_work_buffer()) {
-    xhat.assign(input.span().begin(), input.span().end());
+    xhat = std::make_unique_for_overwrite<T[]>(dims.count());
   }
-  T* const work = xhat.empty() ? nullptr : xhat.data();
+  T* const work = xhat.get();
   const T* original = input.data();
   const auto estrides = dims.strides();
 
@@ -104,8 +152,11 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
   // block (the whole-field default) out of a parallel region so its inner
   // loops can still use the pool.
   std::vector<BlockCompressResult> results(grid.n_blocks);
+  // The block copy is nested (serial) inside the loop, and runs in parallel
+  // for a lone block.
   parallel_for(0, grid.n_blocks, [&](std::size_t b) {
     const std::size_t org = grid.origin_linear(b);
+    if (work) copy_block(original, work, grid, b, estrides);
     results[b] = backend.compress_block(original + org,
                                         work ? work + org : nullptr,
                                         grid.block_dims(b), estrides, eb, opt,

@@ -95,8 +95,8 @@ BlockCompressResult compress_impl(const T* original, T* work,
         SegmentId{kSegBase, level_tag, 0, block},
         serialize_base_segment(scratch, true, opt.codec));
 
-    append_plane_segments(scratch.codes, std::move(enc.planes), level_tag,
-                          block, opt.prefix_bits, opt.codec, out.segments);
+    append_plane_segments(std::move(enc.planes), level_tag, block,
+                          opt.prefix_bits, opt.codec, out.segments);
   }
   return out;
 }

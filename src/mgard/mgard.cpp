@@ -170,7 +170,7 @@ Bytes PmgardCompressor::compress(NdConstView<double> data, double eb_abs) {
       info.loss[d] = static_cast<std::uint64_t>(enc.loss[d]);
     }
     std::vector<std::pair<SegmentId, Bytes>> segments;
-    append_plane_segments(codes, std::move(enc.planes),
+    append_plane_segments(std::move(enc.planes),
                           static_cast<std::uint16_t>(li + 1), /*block=*/0,
                           kPrefixBits, codec_, segments);
     for (auto& [id, payload] : segments) {

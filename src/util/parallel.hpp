@@ -64,7 +64,8 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
 /// never depend on the thread count, so chunk-local reductions (OR masks,
 /// per-depth maxima) merge into thread-count-independent results.  The
 /// word-parallel bitplane engine runs its tile passes through this: one
-/// chunk is enough work to amortize a fork, so the per-chunk grain is 1.
+/// chunk is enough work to amortize a fork, so two chunks already run in
+/// parallel (a lone chunk runs inline).
 template <typename Fn>
 void parallel_chunks(std::size_t begin, std::size_t end, std::size_t chunk,
                      Fn&& fn) {
@@ -73,7 +74,7 @@ void parallel_chunks(std::size_t begin, std::size_t end, std::size_t chunk,
   parallel_for(0, n_chunks, [&](std::size_t c) {
     const std::size_t lo = begin + c * chunk;
     fn(lo, lo + chunk < end ? lo + chunk : end);
-  }, /*grain=*/1);
+  }, /*grain=*/2);
 }
 
 /// parallel_for for bodies that may throw (e.g. decoding untrusted input):

@@ -26,7 +26,8 @@ TEST(Bitplane, ExtractDepositSinglePlane) {
   for (unsigned k : {0u, 7u, 15u, 31u}) {
     auto plane = extract_plane(values, k);
     std::vector<std::uint32_t> rebuilt(values.size(), 0);
-    deposit_plane(rebuilt, plane, k);
+    const PlaneSpan one{k, plane};
+    deposit_planes(rebuilt, {&one, 1});
     for (std::size_t i = 0; i < values.size(); ++i) {
       EXPECT_EQ(rebuilt[i], values[i] & (std::uint32_t{1} << k));
     }
@@ -44,11 +45,19 @@ TEST(Bitplane, ExtractAllMatchesSingle) {
 TEST(Bitplane, FullSplitJoinRoundTrip) {
   auto values = random_values(4096, 3);
   auto all = all_planes(values);
+  // Plane by plane, then all 32 in one multi-plane pass.
   std::vector<std::uint32_t> rebuilt(values.size(), 0);
+  std::vector<PlaneSpan> spans;
+  spans.reserve(kPlaneCount);
   for (unsigned k = 0; k < kPlaneCount; ++k) {
-    deposit_plane(rebuilt, all[k], k);
+    const PlaneSpan one{k, all[k]};
+    deposit_planes(rebuilt, {&one, 1});
+    spans.push_back(one);
   }
   EXPECT_EQ(rebuilt, values);
+  std::vector<std::uint32_t> batch(values.size(), 0);
+  deposit_planes(batch, spans);
+  EXPECT_EQ(batch, values);
 }
 
 TEST(Bitplane, EmptyInput) {
@@ -101,7 +110,8 @@ TEST(Bitplane, TruncationTableZeroValues) {
 TEST(Bitplane, DepositIntoPartiallyFilled) {
   std::vector<std::uint32_t> values = {0b1000, 0b0000, 0b1000};
   Bytes plane0 = extract_plane(std::vector<std::uint32_t>{1, 0, 1}, 0);
-  deposit_plane(values, plane0, 0);
+  const PlaneSpan one{0, plane0};
+  deposit_planes(values, {&one, 1});
   EXPECT_EQ(values[0], 0b1001u);
   EXPECT_EQ(values[1], 0b0000u);
   EXPECT_EQ(values[2], 0b1001u);

@@ -5,6 +5,8 @@
 
 #include <array>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "ipcomp.hpp"
 #include "test_util.hpp"
@@ -192,33 +194,77 @@ TEST(BlocksTest, ProgressiveRequestsHonorGuarantee) {
   EXPECT_LE(linf(field.const_view(), reader.data()), 1e-7 * (1 + 1e-9));
 }
 
-TEST(BlocksTest, ArchiveBytesIdenticalAcrossThreadCounts) {
-  auto field = smooth_field(Dims{40, 40, 24}, 21, 0.03);
-  for (std::size_t block_side : {std::size_t{0}, std::size_t{16}}) {
-    Options opt;
-    opt.error_bound = 1e-5;
-    opt.block_side = block_side;
+/// compress() must write the same bytes at 1, 2 and 8 threads; returns the
+/// 1-thread archive.
+template <typename T>
+Bytes expect_archive_thread_invariant(const NdArray<T>& field,
+                                      const Options& opt,
+                                      const std::string& what) {
 #if defined(_OPENMP)
-    const int saved = omp_get_max_threads();
+  const int saved = omp_get_max_threads();
 #endif
-    Bytes reference;
-    for (int threads : {1, 2, 8}) {
+  Bytes reference;
+  for (int threads : {1, 2, 8}) {
 #if defined(_OPENMP)
-      omp_set_num_threads(threads);
+    omp_set_num_threads(threads);
 #else
-      (void)threads;
+    (void)threads;
 #endif
-      Bytes archive = compress(field.const_view(), opt);
-      if (reference.empty()) {
-        reference = std::move(archive);
-      } else {
-        EXPECT_EQ(archive, reference)
-            << "block_side " << block_side << " threads " << threads;
-      }
+    Bytes archive = compress(field.const_view(), opt);
+    if (reference.empty()) {
+      reference = std::move(archive);
+    } else {
+      EXPECT_EQ(archive, reference)
+          << what << " block_side " << opt.block_side << " threads " << threads;
     }
+  }
 #if defined(_OPENMP)
-    omp_set_num_threads(saved);
+  omp_set_num_threads(saved);
 #endif
+  return reference;
+}
+
+TEST(BlocksTest, ArchiveBytesIdenticalAcrossThreadCounts) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Options opt;
+  opt.error_bound = 1e-5;
+  const auto f64 = smooth_field(Dims{40, 40, 24}, 21, 0.03);
+  const auto f32 = smooth_field<float>(Dims{40, 40, 24}, 23, 0.03);
+  for (std::size_t block_side : {std::size_t{0}, std::size_t{16}}) {
+    opt.block_side = block_side;
+    expect_archive_thread_invariant(f64, opt, "f64");
+    expect_archive_thread_invariant(f32, opt, "f32");
+  }
+
+  // Non-finite values on both sides of the range scan's 64 Ki-value chunk
+  // boundaries (the relative bound depends on the scanned range).
+  auto wild = smooth_field(Dims{48, 48, 48}, 24, 0.01);
+  wild[0] = -kInf;
+  wild[65535] = kNaN;
+  wild[65536] = kInf;
+  wild[wild.count() - 1] = kNaN;
+  for (std::size_t block_side : {std::size_t{0}, std::size_t{32}}) {
+    opt.block_side = block_side;
+    expect_archive_thread_invariant(wild, opt, "nan/inf");
+  }
+
+  // No finite value at all: the scanned range is 0.
+  const NdArray<double> all_nan(Dims{20, 20},
+                                std::vector<double>(400, kNaN));
+  opt.block_side = 0;
+  MemorySource src(expect_archive_thread_invariant(all_nan, opt, "all-NaN"));
+  ProgressiveReader<double> reader(src);
+  EXPECT_EQ(reader.header().data_min, 0.0);
+  EXPECT_EQ(reader.header().data_max, 0.0);
+
+  // 1-D and 2-D shapes the block side does not divide.
+  const auto line = smooth_field(Dims{1001}, 25, 0.03);
+  const auto plane = smooth_field(Dims{70, 45}, 26, 0.03);
+  for (std::size_t block_side : {std::size_t{0}, std::size_t{16}}) {
+    opt.block_side = block_side;
+    expect_archive_thread_invariant(line, opt, "1-D");
+    expect_archive_thread_invariant(plane, opt, "2-D");
   }
 }
 

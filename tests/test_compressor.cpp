@@ -166,6 +166,39 @@ TEST(Compressor, InvalidErrorBoundRejected) {
   EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument);
 }
 
+TEST(Compressor, OverflowingErrorBoundRejected) {
+  // The quantizer bins at 2*eb.  Unchecked, both bounds below decode part of
+  // the field to non-finite values.
+  NdArray<double> field(Dims{16, 16});
+  for (std::size_t i = 0; i < field.count(); ++i) {
+    field[i] = static_cast<double>(i % 256);
+  }
+  Options opt;
+  opt.relative = false;
+  opt.error_bound = 1.5e308;  // finite, but 2*eb is inf
+  EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument);
+
+  // A relative bound over a finite field spanning ±1e308: max - min is inf.
+  NdArray<double> wide(Dims{16, 16});
+  for (std::size_t i = 0; i < wide.count(); ++i) {
+    wide[i] = 1e308 * (2.0 * static_cast<double>(i) / 255.0 - 1.0);
+  }
+  opt.relative = true;
+  opt.error_bound = 1e-3;
+  EXPECT_THROW(compress(wide.const_view(), opt), std::invalid_argument);
+  EXPECT_THROW(resolve_error_bound(wide.const_view(), opt),
+               std::invalid_argument);
+
+  // A huge bound whose double is still finite keeps working.
+  opt.relative = false;
+  opt.error_bound = 1e300;
+  MemorySource src(compress(field.const_view(), opt));
+  ProgressiveReader<double> reader(src);
+  reader.retrieve(Request::full());
+  for (double x : reader.data()) ASSERT_TRUE(std::isfinite(x));
+  EXPECT_LE(linf(field.const_view(), reader.data()), 1e300);
+}
+
 TEST(Compressor, HeaderDescribesArchive) {
   auto field = smooth_field(Dims{40, 30, 20}, 11);
   Options opt;

@@ -55,9 +55,76 @@ TEST(Predictive, DecodingWithPartialCodesMatches) {
     Bytes enc = predictive_encode_plane(values, planes[k], k, prefix);
     Bytes dec = predictive_encode_plane(partial, enc, k, prefix);
     EXPECT_EQ(dec, planes[k]) << "k=" << k;
-    deposit_plane(partial, dec, k);
+    const PlaneSpan one{k, dec};
+    deposit_planes(partial, {&one, 1});
   }
   EXPECT_EQ(partial, values);
+}
+
+/// Random codes whose highest populated plane is exactly n_planes - 1.
+std::vector<std::uint32_t> codes_with_planes(std::size_t n, unsigned n_planes,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  const std::uint32_t mask =
+      n_planes >= 32 ? ~0u : (std::uint32_t{1} << n_planes) - 1u;
+  std::vector<std::uint32_t> v(n);
+  for (auto& x : v) x = static_cast<std::uint32_t>(rng.next_u64()) & mask;
+  v[n / 2] |= std::uint32_t{1} << (n_planes - 1);
+  return v;
+}
+
+/// In-place encode of a level's planes == plane-by-plane
+/// predictive_encode_plane, and the batch decode + one multi-plane deposit
+/// restores the codes.
+void check_in_place_round_trip(const std::vector<std::uint32_t>& values,
+                               unsigned n_planes, unsigned prefix) {
+  const LevelEncoding enc = encode_level(values, /*with_loss=*/false);
+  ASSERT_EQ(enc.n_planes, n_planes);
+  std::vector<PlaneBits> planes = enc.planes;
+  predictive_encode_planes(planes, prefix);
+  for (unsigned k = 0; k < n_planes; ++k) {
+    EXPECT_EQ(planes[k],
+              predictive_encode_plane(values, enc.planes[k], k, prefix))
+        << "n=" << values.size() << " n_planes=" << n_planes
+        << " prefix=" << prefix << " k=" << k;
+  }
+  std::vector<MutablePlane> mut;
+  std::vector<PlaneSpan> spans;
+  mut.reserve(n_planes);
+  spans.reserve(n_planes);
+  for (unsigned k = n_planes; k-- > 0;) {
+    mut.push_back({k, planes[k]});
+    spans.push_back({k, planes[k]});
+  }
+  std::vector<std::uint32_t> codes(values.size(), 0);
+  predictive_decode_planes(codes, mut, prefix);
+  deposit_planes(codes, spans);
+  EXPECT_EQ(codes, values) << "n=" << values.size()
+                           << " n_planes=" << n_planes << " prefix=" << prefix;
+}
+
+TEST(Predictive, InPlaceEncodeMatchesPerPlane) {
+  // Every prefix up to 4 against every plane count, prefix >= n_planes
+  // included, on tail-heavy sizes.
+  for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{777}}) {
+    for (unsigned n_planes = 1; n_planes <= kPlaneCount; ++n_planes) {
+      const auto values = codes_with_planes(n, n_planes, 100 + n_planes);
+      for (unsigned prefix = 0; prefix <= 4; ++prefix) {
+        check_in_place_round_trip(values, n_planes, prefix);
+      }
+    }
+  }
+}
+
+TEST(Predictive, InPlaceEncodeSpansByteChunks) {
+  // Planes longer than one chunk of the parallel in-place pass.
+  const std::size_t n = 140001;
+  for (unsigned n_planes : {3u, 32u}) {
+    const auto values = codes_with_planes(n, n_planes, 7);
+    for (unsigned prefix : {1u, 2u, 4u}) {
+      check_in_place_round_trip(values, n_planes, prefix);
+    }
+  }
 }
 
 TEST(Predictive, ReducesEntropyOnCorrelatedPlanes) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <vector>
 
 #include "bitplane/bitplane.hpp"
@@ -132,7 +134,8 @@ TEST_P(TransposeTiers, DepositPlaneMatchesReference) {
           base[i] = values[i] & ~(std::uint32_t{1} << k);
         }
         std::vector<std::uint32_t> got = base, want = base;
-        deposit_plane(ops(), got, plane, k);
+        const PlaneSpan one{k, plane};
+        deposit_planes(ops(), got, {&one, 1});
         deposit_plane_ref(want, plane, k);
         EXPECT_EQ(got, want) << "n=" << n << " k=" << k;
       }
@@ -198,6 +201,68 @@ TEST_P(TransposeTiers, LossTableMatchesBruteForce) {
       expected = std::max(expected, std::abs(negabinary_low_bits_value(v, d)));
     }
     EXPECT_EQ(enc.loss[d], expected) << "d=" << d;
+  }
+}
+
+std::array<std::int64_t, kPlaneCount + 1> loss_ref(
+    std::span<const std::uint32_t> values) {
+  std::array<std::int64_t, kPlaneCount + 1> table{};
+  for (unsigned d = 0; d <= kPlaneCount; ++d) {
+    for (auto v : values) {
+      table[d] = std::max(table[d], std::abs(negabinary_low_bits_value(v, d)));
+    }
+  }
+  return table;
+}
+
+TEST_P(TransposeTiers, LossKernelMatchesBruteForce) {
+  std::vector<std::vector<std::uint32_t>> inputs;
+  // Extreme patterns: zero, the negabinary extremes, all ones — uniform and
+  // mixed with each other.
+  const std::uint32_t kExtremes[] = {0u, 0xAAAAAAAAu, 0x55555555u, 0xFFFFFFFFu};
+  for (std::uint32_t c : kExtremes) {
+    inputs.emplace_back(100, c);
+  }
+  {
+    Rng rng(90);
+    std::vector<std::uint32_t> mix(200);
+    for (auto& x : mix) x = kExtremes[rng.uniform_u64(4)];
+    inputs.push_back(std::move(mix));
+  }
+  // Single-bit values: alone among zeros, and one of each bit together.
+  std::vector<std::uint32_t> every_bit;
+  every_bit.reserve(kPlaneCount);
+  for (unsigned b = 0; b < kPlaneCount; ++b) {
+    std::vector<std::uint32_t> v(77, 0);
+    v[b % 77] = std::uint32_t{1} << b;
+    inputs.push_back(std::move(v));
+    every_bit.push_back(std::uint32_t{1} << b);
+  }
+  inputs.push_back(std::move(every_bit));
+  // Every length up to 130: non-multiple-of-8 tails and partial tiles.
+  for (std::size_t n = 1; n <= 130; ++n) {
+    inputs.push_back(random_values(n, 1000 + n, 1 + static_cast<unsigned>(n % 32)));
+  }
+  // Around the encoder's 64 Ki-value chunk boundary, with the extremes on
+  // either side of it.
+  for (std::size_t n : {65535u, 65536u, 65537u}) {
+    Rng rng(n);
+    std::vector<std::uint32_t> v(n);
+    for (auto& x : v) {
+      x = negabinary_encode(static_cast<std::int64_t>(rng.uniform_u64(41)) - 20);
+    }
+    v[n - 1] = 0x55555555u;
+    v[65534] = 0xAAAAAAAAu;
+    inputs.push_back(std::move(v));
+  }
+  // Dense random codes.
+  inputs.push_back(random_values(5000, 91));
+  inputs.push_back(random_values(4113, 92, 17));
+
+  for (const auto& values : inputs) {
+    EXPECT_EQ(encode_level(ops(), values, /*with_loss=*/true).loss,
+              loss_ref(values))
+        << "n=" << values.size() << " v[0]=" << (values.empty() ? 0 : values[0]);
   }
 }
 
