@@ -35,8 +35,10 @@
 #include "bitplane/negabinary.hpp"
 #include "bitplane/predictive.hpp"
 #include "coding/codec.hpp"
+#include "coding/lzh.hpp"
 #include "core/compressor.hpp"
 #include "core/progressive_reader.hpp"
+#include "data/noise.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -276,6 +278,74 @@ CodecCensus codec_census(int reps, std::size_t n) {
   return c;
 }
 
+/// LZH decode cost over every kLzh segment of one archive, decoded through
+/// codec_decompress on one thread: microseconds per segment (the small-
+/// segment regime of block-16 serve archives, where per-segment table set-up
+/// dominates) and MB/s of decoded bytes (the large-segment regime).
+struct LzhDecode {
+  std::size_t segments = 0;
+  std::size_t bytes = 0;  // decoded bytes per pass
+  double us_per_segment = 0.0;
+  double mb_per_s = 0.0;
+};
+
+LzhDecode lzh_decode(const Bytes& archive, int reps) {
+  LzhDecode d;
+  MemorySource src{Bytes(archive)};
+  std::vector<Bytes> segs;
+  std::vector<std::size_t> sizes;
+  for (const SegmentId& id : src.segment_ids()) {
+    Bytes seg = src.read_segment(id);
+    if (seg.empty() || seg[0] != static_cast<std::uint8_t>(CodecMethod::kLzh)) continue;
+    sizes.push_back(lzh_decompress({seg.data() + 1, seg.size() - 1}).size());
+    d.bytes += sizes.back();
+    segs.push_back(std::move(seg));
+  }
+  d.segments = segs.size();
+  if (segs.empty()) return d;
+  // Enough passes per repetition that a few-microsecond segment cost is
+  // well above timer resolution.
+  const std::size_t passes = std::max<std::size_t>(1, 8192 / segs.size());
+  std::size_t sink = 0;
+  const StageResult r = median_of(reps, d.bytes * passes, [&] {
+    for (std::size_t p = 0; p < passes; ++p) {
+      for (std::size_t i = 0; i < segs.size(); ++i) {
+        sink += codec_decompress({segs[i].data(), segs[i].size()}, sizes[i])[0];
+      }
+    }
+  });
+  if (sink == std::size_t(-1)) std::printf("unreachable\n");
+  d.us_per_segment = r.seconds * 1.0e6 / static_cast<double>(passes * segs.size());
+  d.mb_per_s = r.mb_per_s;
+  return d;
+}
+
+/// The serve-sized archive of the LZH decode row: a 96x96x64 field of
+/// smooth waves plus low-amplitude fBm, block 16, progressive threshold 256
+/// — many small structured plane segments.
+Bytes serve_sized_archive() {
+  const Dims dims{96, 96, 64};
+  NdArray<double> field(dims);
+  const std::size_t nz = dims[0], ny = dims[1], nx = dims[2];
+  parallel_for(0, nz, [&](std::size_t k) {
+    const double z = static_cast<double>(k) / static_cast<double>(nz);
+    for (std::size_t j = 0; j < ny; ++j) {
+      const double y = static_cast<double>(j) / static_cast<double>(ny);
+      for (std::size_t i = 0; i < nx; ++i) {
+        const double x = static_cast<double>(i) / static_cast<double>(nx);
+        field.data()[(k * ny + j) * nx + i] =
+            std::sin(6.3 * x + 12.6 * y + 4.1 * z) +
+            0.7 * std::cos(3.1 * x - 9.4 * z) +
+            0.1 * fbm3(4.0 * x, 4.0 * y, 4.0 * z, /*seed=*/7, 3, 0.5);
+      }
+    }
+  }, /*grain=*/1);
+  Options opt;
+  opt.block_side = 16;
+  opt.progressive_threshold = 256;
+  return compress(field.const_view(), opt);
+}
+
 int block_compare(const char* json_path, int reps) {
   const std::size_t side = env_size("IPCOMP_BENCH_SIDE", 256);
   const std::size_t block = env_size("IPCOMP_BENCH_BLOCK", side / 4);
@@ -366,6 +436,10 @@ int block_compare(const char* json_path, int reps) {
   // Entropy-stage orchestration: probe-routed vs try-all over the plane
   // segments of both code profiles.
   CodecCensus cc = codec_census(reps, n_codes);
+  // Entropy-stage decode: LZH segments of a block-16 serve-sized archive
+  // (per-segment cost) and of the block-compare archive (throughput).
+  const LzhDecode lzh_small = lzh_decode(serve_sized_archive(), reps);
+  const LzhDecode lzh_field = lzh_decode(archive_block, reps);
 
   const double ratio_legacy = static_cast<double>(raw) /
                               static_cast<double>(archive_legacy.size());
@@ -417,6 +491,10 @@ int block_compare(const char* json_path, int reps) {
               " bitpack %zu\n",
               cc.method_counts[0], cc.method_counts[1], cc.method_counts[2],
               cc.method_counts[3], cc.method_counts[4]);
+  std::printf("lzh decode: block-16 archive %zu segments, %.2f us/segment"
+              " (%.1f MB/s); block-%zu archive %zu segments, %.1f MB/s\n",
+              lzh_small.segments, lzh_small.us_per_segment, lzh_small.mb_per_s,
+              block, lzh_field.segments, lzh_field.mb_per_s);
   std::printf("(target: >=2x compression speedup at 4 threads, >=256^3;"
               " >=1.5x routed vs try-all encode)\n");
 
@@ -452,7 +530,13 @@ int block_compare(const char* json_path, int reps) {
                  "    \"routed_encode_mbps\": %.2f,\n"
                  "    \"tryall_encode_mbps\": %.2f,\n"
                  "    \"speedup\": %.4f,\n"
-                 "    \"ratio_delta_pct\": %.4f\n"
+                 "    \"ratio_delta_pct\": %.4f,\n"
+                 "    \"lzh_decode\": {\n"
+                 "      \"block16\": {\"segments\": %zu, \"bytes\": %zu,"
+                 " \"us_per_segment\": %.4f, \"mb_per_s\": %.2f},\n"
+                 "      \"field\": {\"segments\": %zu, \"bytes\": %zu,"
+                 " \"us_per_segment\": %.4f, \"mb_per_s\": %.2f}\n"
+                 "    }\n"
                  "  },\n"
                  "  \"backends\": {\n"
                  "    \"interp\": {\n"
@@ -490,6 +574,9 @@ int block_compare(const char* json_path, int reps) {
                  cc.method_counts[1], cc.method_counts[2], cc.method_counts[3],
                  cc.method_counts[4], cc.routed_encode_mbps,
                  cc.tryall_encode_mbps, cc.speedup, cc.ratio_delta_pct,
+                 lzh_small.segments, lzh_small.bytes, lzh_small.us_per_segment,
+                 lzh_small.mb_per_s, lzh_field.segments, lzh_field.bytes,
+                 lzh_field.us_per_segment, lzh_field.mb_per_s,
                  c_block.seconds, c_block.mb_per_s, d_block.seconds,
                  d_block.mb_per_s, ratio_block,
                  f_interp.segments, f_interp.read_calls,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <iterator>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
@@ -16,6 +18,37 @@ std::uint32_t bit_reverse(std::uint32_t code, unsigned len) {
     rev |= ((code >> i) & 1u) << (len - 1 - i);
   }
   return rev;
+}
+
+/// Byte bit-reversal table for the decoder's table build: a table-sized
+/// code reverses with two lookups instead of a loop over its bits.
+constexpr std::array<std::uint8_t, 256> kReverse8 = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    unsigned r = 0;
+    for (unsigned i = 0; i < 8; ++i) r |= ((b >> i) & 1u) << (7 - i);
+    t[b] = static_cast<std::uint8_t>(r);
+  }
+  return t;
+}();
+
+/// bit_reverse for len in [1, 16].
+std::uint32_t bit_reverse_short(std::uint32_t code, unsigned len) {
+  return ((std::uint32_t{kReverse8[code & 0xFFu]} << 8) | kReverse8[(code >> 8) & 0xFFu]) >>
+         (16 - len);
+}
+
+/// First index at or after `s` with a nonzero length (lengths.size() if
+/// none).  Zero runs are skipped a word at a time: a small segment's
+/// literal alphabet is mostly unused symbols.
+std::size_t next_used(std::span<const std::uint8_t> lengths, std::size_t s) {
+  const std::size_t n = lengths.size();
+  for (std::uint64_t w = 0; s + 8 <= n; s += 8) {
+    std::memcpy(&w, lengths.data() + s, 8);
+    if (w != 0) break;
+  }
+  while (s < n && lengths[s] == 0) ++s;
+  return s;
 }
 
 /// Canonical code assignment from lengths: returns codes (MSB-first values).
@@ -129,14 +162,20 @@ void serialize_code_lengths(ByteWriter& w, std::span<const std::uint8_t> lengths
   }
 }
 
-std::vector<std::uint8_t> deserialize_code_lengths(ByteReader& r) {
-  std::size_t alphabet = r.varint();
-  std::size_t n_used = r.varint();
+std::vector<std::uint8_t> deserialize_code_lengths(ByteReader& r,
+                                                   std::size_t max_alphabet) {
+  const std::uint64_t alphabet = r.varint();
+  const std::uint64_t n_used = r.varint();
+  // Both counts are checked before they size anything: a forged varint must
+  // not drive an allocation.
+  if (alphabet > max_alphabet) throw std::runtime_error("huffman: alphabet too large");
+  if (n_used > alphabet) throw std::runtime_error("huffman: too many used symbols");
   std::vector<std::uint8_t> lengths(alphabet, 0);
-  std::size_t sym = 0;
-  for (std::size_t i = 0; i < n_used; ++i) {
-    sym += r.varint();
-    if (sym >= alphabet) throw std::runtime_error("huffman: symbol out of range");
+  std::uint64_t sym = 0;
+  for (std::uint64_t i = 0; i < n_used; ++i) {
+    const std::uint64_t gap = r.varint();
+    if (gap >= alphabet - sym) throw std::runtime_error("huffman: symbol out of range");
+    sym += gap;
     lengths[sym] = r.u8();
   }
   return lengths;
@@ -163,14 +202,21 @@ std::uint64_t HuffmanEncoder::cost_bits(std::span<const std::uint64_t> freqs) co
 }
 
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
-  for (auto l : lengths) max_len_ = std::max<unsigned>(max_len_, l);
-  if (max_len_ > kHuffmanMaxLen) throw std::invalid_argument("huffman: length too long");
-  auto codes = assign_canonical(lengths, std::max(1u, max_len_));
-
-  // Canonical slow-path ranges: symbols sorted by (length, symbol).
-  for (auto l : lengths) {
-    if (l) ++count_[l];
+  // Every check here guards decode-side input (code lengths come from the
+  // archive), so failures are runtime errors, not caller bugs.
+  if (lengths.size() > (std::size_t{1} << kHuffmanMaxLen)) {
+    throw std::runtime_error("huffman: alphabet too large");
   }
+  for (std::size_t s = next_used(lengths, 0); s < lengths.size();
+       s = next_used(lengths, s + 1)) {
+    const unsigned l = lengths[s];
+    if (l > kHuffmanMaxLen) throw std::runtime_error("huffman: length too long");
+    ++count_[l];
+    max_len_ = std::max<unsigned>(max_len_, l);
+  }
+
+  // Canonical first codes per length.  A length whose codes overflow its
+  // bit width means the lengths violate Kraft's inequality.
   std::uint32_t code = 0;
   std::uint32_t index = 0;
   for (unsigned len = 1; len <= max_len_; ++len) {
@@ -178,44 +224,46 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     first_code_[len] = code;
     first_index_[len] = index;
     index += count_[len];
-  }
-  sorted_symbols_.resize(index);
-  std::vector<std::uint32_t> fill(kHuffmanMaxLen + 1, 0);
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s]) {
-      unsigned len = lengths[s];
-      sorted_symbols_[first_index_[len] + fill[len]++] = static_cast<std::uint32_t>(s);
+    if (std::uint64_t{code} + count_[len] > (std::uint64_t{1} << len)) {
+      throw std::runtime_error("huffman: oversubscribed code lengths");
     }
   }
 
-  // Fast-path table over the first kTableBits arriving bits.
-  table_.assign(std::size_t{1} << kTableBits, 0);
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    unsigned len = lengths[s];
-    if (len == 0 || len > kTableBits) continue;
-    std::uint32_t rev = bit_reverse(codes[s], len);
-    std::uint32_t entry = (static_cast<std::uint32_t>(s) << 5) | len;
-    for (std::uint32_t j = 0; j < (1u << (kTableBits - len)); ++j) {
-      table_[rev | (j << len)] = entry;
+  // One pass in symbol order hands out the canonical codes: short codes
+  // fill their table entries, long ones land in the slow path's ranges.
+  table_bits_ = std::min(max_len_, kMaxTableBits);
+  const std::size_t table_size = std::size_t{1} << table_bits_;
+  std::fill_n(table_.begin(), table_size, 0u);
+  if (max_len_ > table_bits_) sorted_symbols_.resize(index);
+  std::uint32_t next_code[kHuffmanMaxLen + 1];
+  std::copy(std::begin(first_code_), std::end(first_code_), next_code);
+  for (std::size_t s = next_used(lengths, 0); s < lengths.size();
+       s = next_used(lengths, s + 1)) {
+    const unsigned len = lengths[s];
+    const std::uint32_t c = next_code[len]++;
+    if (len > table_bits_) {
+      sorted_symbols_[first_index_[len] + (c - first_code_[len])] =
+          static_cast<std::uint32_t>(s);
+      continue;
+    }
+    const std::uint32_t entry = (static_cast<std::uint32_t>(s) << 5) | len;
+    for (std::size_t j = bit_reverse_short(c, len); j < table_size; j += std::size_t{1} << len) {
+      table_[j] = entry;
     }
   }
 }
 
-std::uint32_t HuffmanDecoder::decode(BitReader& br) const {
-  std::uint32_t window = static_cast<std::uint32_t>(br.peek_bits(kTableBits));
-  std::uint32_t entry = table_[window];
-  if (entry != 0) {
-    br.skip_bits(entry & 31u);
-    return entry >> 5;
-  }
-  // Slow path: accumulate the code MSB-first (bits arrive MSB-first because
-  // the encoder writes them reversed).
-  std::uint32_t code = 0;
-  for (unsigned len = 1; len <= max_len_; ++len) {
-    code = (code << 1) | br.get_bit();
-    if (count_[len] && code >= first_code_[len] &&
-        code < first_code_[len] + count_[len]) {
-      return sorted_symbols_[first_index_[len] + (code - first_code_[len])];
+std::uint32_t HuffmanDecoder::decode_slow(BitReader& br) const {
+  // Escapes only come from codes longer than the table (or from bit
+  // patterns no symbol owns).  Accumulate the code MSB-first (bits arrive
+  // MSB-first because the encoder writes them reversed).
+  if (max_len_ > table_bits_) {
+    std::uint32_t code = 0;
+    for (unsigned len = 1; len <= max_len_; ++len) {
+      code = (code << 1) | br.get_bit();
+      if (len > table_bits_ && code - first_code_[len] < count_[len]) {
+        return sorted_symbols_[first_index_[len] + (code - first_code_[len])];
+      }
     }
   }
   throw std::runtime_error("huffman: invalid code");

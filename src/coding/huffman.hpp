@@ -2,10 +2,11 @@
 //
 // Used directly by the SZ3 baseline (quantization codes) and as the entropy
 // stage of the LZ77 back-end.  Codes are canonical so only the code lengths
-// are serialized; decoding uses a 12-bit prefix table with a bit-by-bit
-// fallback for longer codes.
+// are serialized; decoding uses a prefix table of up to 12 bits with a
+// bit-by-bit fallback for longer codes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,7 +27,11 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
 
 /// Serialize code lengths compactly (sparse symbol/length pairs).
 void serialize_code_lengths(ByteWriter& w, std::span<const std::uint8_t> lengths);
-std::vector<std::uint8_t> deserialize_code_lengths(ByteReader& r);
+/// Inverse of serialize_code_lengths.  Throws std::runtime_error when the
+/// declared alphabet exceeds `max_alphabet` (checked before allocating) or
+/// a symbol falls outside it.
+std::vector<std::uint8_t> deserialize_code_lengths(
+    ByteReader& r, std::size_t max_alphabet = std::size_t{1} << kHuffmanMaxLen);
 
 class HuffmanEncoder {
  public:
@@ -58,22 +63,43 @@ class HuffmanEncoder {
   std::vector<std::uint8_t> length_;
 };
 
+/// Table-driven canonical decoder.  The fast table is indexed by the next
+/// min(longest code, kMaxTableBits) stream bits, so a short code (a small
+/// LZH segment's distance alphabet, say) builds a table of a few dozen
+/// entries instead of 4096; longer codes escape to a canonical bit-by-bit
+/// walk.  Construction touches no heap unless some code is longer than the
+/// table.  Malformed lengths (longer than kHuffmanMaxLen, or an
+/// oversubscribed set) throw std::runtime_error, as does decoding a bit
+/// pattern that no symbol owns.
 class HuffmanDecoder {
  public:
   explicit HuffmanDecoder(std::span<const std::uint8_t> lengths);
 
-  std::uint32_t decode(BitReader& br) const;
+  std::uint32_t decode(BitReader& br) const {
+    const std::uint32_t entry =
+        table_[static_cast<std::size_t>(br.peek_bits(table_bits_))];
+    if (entry != 0) {
+      br.skip_bits(entry & 31u);
+      return entry >> 5;
+    }
+    return decode_slow(br);
+  }
 
  private:
-  static constexpr unsigned kTableBits = 12;
+  static constexpr unsigned kMaxTableBits = 12;
 
-  // Fast path: prefix table entry = (symbol << 5) | code_length, 0 = escape.
-  std::vector<std::uint32_t> table_;
-  // Slow path: canonical first-code ranges per length.
+  std::uint32_t decode_slow(BitReader& br) const;
+
+  // Fast path: entry = (symbol << 5) | code_length, 0 = escape.  Only the
+  // first 1 << table_bits_ entries are built.
+  unsigned table_bits_ = 0;
+  std::array<std::uint32_t, std::size_t{1} << kMaxTableBits> table_;
+  // Slow path (codes longer than the table): canonical first-code ranges per
+  // length over the symbols sorted by (length, symbol).
   std::uint32_t first_code_[kHuffmanMaxLen + 1] = {};
   std::uint32_t first_index_[kHuffmanMaxLen + 1] = {};
   std::uint32_t count_[kHuffmanMaxLen + 1] = {};
-  std::vector<std::uint32_t> sorted_symbols_;
+  std::vector<std::uint32_t> sorted_symbols_;  // empty unless max_len_ > table
   unsigned max_len_ = 0;
 };
 

@@ -173,35 +173,76 @@ Bytes compress_block(std::span<const std::uint8_t> in) {
   return w.take();
 }
 
-Bytes decompress_block(std::span<const std::uint8_t> in, std::size_t raw_size) {
+/// Decode one compressed block into exactly `raw_size` bytes at `out`.
+/// Every token is checked against the bytes produced so far and the block's
+/// end before it touches `out`, so forged input throws instead of reading or
+/// writing outside the block.
+void decompress_block(std::span<const std::uint8_t> in, std::uint8_t* out,
+                      std::size_t raw_size) {
   ByteReader r(in);
-  auto lit_lengths = deserialize_code_lengths(r);
-  auto dist_lengths = deserialize_code_lengths(r);
+  auto lit_lengths = deserialize_code_lengths(r, kLenAlphabet);
+  auto dist_lengths = deserialize_code_lengths(r, kDistAlphabet);
   HuffmanDecoder lit_dec(lit_lengths);
   HuffmanDecoder dist_dec(dist_lengths);
   std::size_t bits_size = r.varint();
   BitReader br(r.bytes(bits_size));
 
-  Bytes out;
-  out.reserve(raw_size);
-  while (out.size() < raw_size) {
+  std::size_t pos = 0;
+  while (pos < raw_size) {
     std::uint32_t sym = lit_dec.decode(br);
     if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
-    } else {
-      std::uint32_t lsym = sym - 256;
-      std::uint32_t extra_bits = lsym < 8 ? 0 : (lsym - 8) / 2 + 2;
-      std::uint32_t len_v = unbucketize(lsym, static_cast<std::uint32_t>(br.get_bits(extra_bits)));
-      std::size_t len = len_v + kMinMatch;
-      std::uint32_t dsym = dist_dec.decode(br);
-      std::uint32_t dextra = dsym < 8 ? 0 : (dsym - 8) / 2 + 2;
-      std::size_t dist = unbucketize(dsym, static_cast<std::uint32_t>(br.get_bits(dextra))) + 1;
-      if (dist > out.size()) throw std::runtime_error("lzh: bad distance");
-      if (out.size() + len > raw_size) throw std::runtime_error("lzh: overflow");
-      // Overlapping copies are the point (runs); copy byte-wise.
-      std::size_t src = out.size() - dist;
-      for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+      out[pos++] = static_cast<std::uint8_t>(sym);
+      continue;
     }
+    std::uint32_t lsym = sym - 256;
+    std::uint32_t extra_bits = lsym < 8 ? 0 : (lsym - 8) / 2 + 2;
+    std::uint32_t len_v = unbucketize(lsym, static_cast<std::uint32_t>(br.get_bits(extra_bits)));
+    std::size_t len = len_v + kMinMatch;
+    std::uint32_t dsym = dist_dec.decode(br);
+    std::uint32_t dextra = dsym < 8 ? 0 : (dsym - 8) / 2 + 2;
+    std::size_t dist = unbucketize(dsym, static_cast<std::uint32_t>(br.get_bits(dextra))) + 1;
+    if (dist > pos) throw std::runtime_error("lzh: bad distance");
+    if (len > raw_size - pos) throw std::runtime_error("lzh: overflow");
+    std::uint8_t* dst = out + pos;
+    const std::uint8_t* src = dst - dist;
+    if (dist >= len) {
+      std::memcpy(dst, src, len);
+    } else {
+      // Overlapping copies are the point (runs): byte order matters.
+      for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+    }
+    pos += len;
+  }
+  // The encoder's stream ends inside its last byte: a whole unread byte, or
+  // bits taken from the reader's zero padding, mean the block is corrupt.
+  const std::size_t used = br.bits_consumed();
+  if (used > bits_size * 8 || used + 8 <= bits_size * 8) {
+    throw std::runtime_error("lzh: bitstream length mismatch");
+  }
+}
+
+/// Decode the blocks following the total-size varint.  Unless the caller
+/// vouches for `total` (`trusted`: it matched an independently known size),
+/// the output grows one block at a time after that block's framing has been
+/// read, so a forged total drives at most one block's allocation.
+Bytes decompress_blocks(ByteReader& r, std::size_t total, bool trusted) {
+  Bytes out;
+  if (trusted) out.reserve(total);
+  std::size_t remaining = total;
+  while (remaining > 0) {
+    std::size_t raw_size = std::min(kBlockSize, remaining);
+    std::uint8_t is_raw = r.u8();
+    std::size_t len = r.varint();
+    auto payload = r.bytes(len);
+    const std::size_t at = out.size();
+    if (is_raw) {
+      if (len != raw_size) throw std::runtime_error("lzh: raw block size mismatch");
+      out.insert(out.end(), payload.begin(), payload.end());
+    } else {
+      out.resize(at + raw_size);
+      decompress_block(payload, out.data() + at, raw_size);
+    }
+    remaining -= raw_size;
   }
   return out;
 }
@@ -238,25 +279,16 @@ Bytes lzh_compress(std::span<const std::uint8_t> input) {
 
 Bytes lzh_decompress(std::span<const std::uint8_t> input) {
   ByteReader r(input);
-  std::size_t total = r.varint();
-  Bytes out;
-  out.reserve(total);
-  std::size_t remaining = total;
-  while (remaining > 0) {
-    std::size_t raw_size = std::min(kBlockSize, remaining);
-    std::uint8_t is_raw = r.u8();
-    std::size_t len = r.varint();
-    auto payload = r.bytes(len);
-    if (is_raw) {
-      if (len != raw_size) throw std::runtime_error("lzh: raw block size mismatch");
-      out.insert(out.end(), payload.begin(), payload.end());
-    } else {
-      Bytes blk = decompress_block(payload, raw_size);
-      out.insert(out.end(), blk.begin(), blk.end());
-    }
-    remaining -= raw_size;
-  }
-  return out;
+  const std::size_t total = r.varint();
+  return decompress_blocks(r, total, /*trusted=*/false);
+}
+
+Bytes lzh_decompress(std::span<const std::uint8_t> input,
+                     std::size_t expected_size) {
+  ByteReader r(input);
+  const std::size_t total = r.varint();
+  if (total != expected_size) throw std::runtime_error("lzh: size mismatch");
+  return decompress_blocks(r, total, /*trusted=*/true);
 }
 
 }  // namespace ipcomp

@@ -7,6 +7,7 @@
 // Blocks that do not shrink are stored raw.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "io/bytes.hpp"
@@ -16,7 +17,13 @@ namespace ipcomp {
 /// Compress arbitrary bytes.  Output embeds everything needed to decode.
 Bytes lzh_compress(std::span<const std::uint8_t> input);
 
-/// Decompress a buffer produced by lzh_compress.
+/// Decompress a buffer produced by lzh_compress.  Malformed input throws
+/// std::runtime_error.
 Bytes lzh_decompress(std::span<const std::uint8_t> input);
+
+/// As above for a caller that knows the decoded size: a declared total other
+/// than `expected_size` is rejected before anything is allocated, and the
+/// output is allocated once.
+Bytes lzh_decompress(std::span<const std::uint8_t> input, std::size_t expected_size);
 
 }  // namespace ipcomp

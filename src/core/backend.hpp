@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -97,11 +98,6 @@ class ProgressiveBackend {
   /// false and the driver skips the field-sized copy entirely.
   virtual bool needs_work_buffer() const { return true; }
 
-  /// Whether refine() consumes the per-level delta code arrays.  Backends
-  /// that rebuild from the updated codes return false and the reader skips
-  /// assembling the deltas (one allocation + deposit pass per plane).
-  virtual bool wants_delta() const { return true; }
-
   /// Opaque metadata stored in v3 headers (empty for v1/v2 backends).
   virtual Bytes metadata(const Header& h) const = 0;
   /// Validate a parsed metadata blob; throws std::runtime_error on a forged
@@ -135,15 +131,16 @@ class ProgressiveBackend {
                            double* field) const = 0;
 
   /// Incremental refinement after new planes were deposited into bc.codes.
-  /// `delta[li]` holds exactly the newly added code bits (empty vector =
-  /// nothing new at that level; the whole vector is empty when wants_delta()
-  /// is false).  Must leave the block's span of `field` in (numerically
+  /// `new_bits[li]` has a bit set for each plane newly added at level li
+  /// (0 = nothing new there).  New planes occupy bit positions that were
+  /// zero before, so a slot's added code bits are `codes[li][slot] &
+  /// new_bits[li]`.  Must leave the block's span of `field` in (numerically
   /// near-)identical state to a fresh reconstruct() from the updated codes.
   virtual void refine(const Header& h, const BlockCodes& bc,
-                      const std::vector<std::vector<std::uint32_t>>& delta,
+                      std::span<const std::uint32_t> new_bits,
                       float* field) const = 0;
   virtual void refine(const Header& h, const BlockCodes& bc,
-                      const std::vector<std::vector<std::uint32_t>>& delta,
+                      std::span<const std::uint32_t> new_bits,
                       double* field) const = 0;
 };
 

@@ -41,10 +41,10 @@ class InterpBackend final : public ProgressiveBackend {
   void reconstruct(const Header& h, const BlockCodes& bc,
                    double* field) const override;
   void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
+              std::span<const std::uint32_t> new_bits,
               float* field) const override;
   void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
+              std::span<const std::uint32_t> new_bits,
               double* field) const override;
 };
 

@@ -214,15 +214,14 @@ void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
                                                   FetchedBlock& fetched) {
   BlockState& bs = blocks_[b];
   const auto& levels = levels_of(b);
-  std::vector<std::vector<std::uint32_t>> delta;
-  if (bs.have_recon && !fetched.planes.empty() && backend_->wants_delta()) {
-    delta.resize(levels.size());
-  }
+  // Bit k of new_bits[li] marks plane k as newly deposited at level li:
+  // refine() reads the added code bits as codes & new_bits.
+  std::vector<std::uint32_t> new_bits(levels.size(), 0);
 
   // All newly fetched planes of a level go through one batch: decompress,
   // predictive-decode MSB-first on the packed buffers, then a single
-  // multi-plane transpose deposit into the codes (and delta) instead of one
-  // full pass per plane.  Only the compressed segments are grouped up front;
+  // multi-plane transpose deposit into the codes instead of one full pass
+  // per plane.  Only the compressed segments are grouped up front;
   // decoded plane buffers live one level at a time.
   std::vector<std::vector<std::pair<unsigned, Bytes>>> by_level(levels.size());
   for (auto& [li, k, seg] : fetched.planes) {
@@ -249,12 +248,9 @@ void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
     std::vector<PlaneSpan> spans(newp.size());
     for (std::size_t i = 0; i < newp.size(); ++i) {
       spans[i] = {newp[i].first, {newp[i].second.data(), newp[i].second.size()}};
+      new_bits[li] |= std::uint32_t{1} << newp[i].first;
     }
     deposit_planes(bs.bc.codes[li], spans);
-    if (!delta.empty()) {
-      delta[li].assign(lh.count, 0);
-      deposit_planes(delta[li], spans);
-    }
     bs.planes_used[li] =
         std::max(bs.planes_used[li], lh.n_planes - newp.back().first);
     // Release this level's decoded plane buffers before the next level's
@@ -268,7 +264,7 @@ void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
     return;
   }
   if (fetched.planes.empty()) return;
-  backend_->refine(header_, bs.bc, delta, xhat_.data());
+  backend_->refine(header_, bs.bc, new_bits, xhat_.data());
 }
 
 template <typename T>

@@ -82,8 +82,8 @@ class BitWriter {
 };
 
 /// LSB-first bit reader with lookahead.  Reading past the end of the stream
-/// yields zero bits (the writer zero-pads its final byte); consuming more than
-/// a full byte beyond the end throws.
+/// yields zero bits (the writer zero-pads its final byte), up to 64 of them;
+/// reading further throws.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -138,6 +138,22 @@ class BitReader {
 
  private:
   void ensure(unsigned n) {
+    if (fill_ >= n) return;
+    // pos_ runs past the end in the padding, hence the first test.
+    if (pos_ < data_.size() && data_.size() - pos_ >= 8) {
+      // Word refill: one little-endian 8-byte load (the byte loop collapses
+      // to a single move), keeping only the whole bytes that fit above the
+      // current bits — fill_ ends in [56, 63], enough for any n <= 56.
+      std::uint64_t w = 0;
+      for (int i = 0; i < 8; ++i) {
+        w |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+      }
+      const unsigned take = (63 - fill_) >> 3;  // >= 1 because fill_ < 56
+      acc_ |= (w & ((std::uint64_t{1} << (8 * take)) - 1)) << fill_;
+      pos_ += take;
+      fill_ += 8 * take;
+      return;
+    }
     while (fill_ < n) {
       if (pos_ < data_.size()) {
         acc_ |= static_cast<std::uint64_t>(data_[pos_++]) << fill_;

@@ -419,7 +419,7 @@ void WaveletBackend::reconstruct(const Header& h, const BlockCodes& bc,
 }
 
 void WaveletBackend::refine(const Header& h, const BlockCodes& bc,
-                            const std::vector<std::vector<std::uint32_t>>&,
+                            std::span<const std::uint32_t> /*new_bits*/,
                             float* field) const {
   // Rebuilding from the updated codes costs the same as a delta transform
   // (inverse cost is sparsity-independent) and is drift-free: stepwise
@@ -428,7 +428,7 @@ void WaveletBackend::refine(const Header& h, const BlockCodes& bc,
 }
 
 void WaveletBackend::refine(const Header& h, const BlockCodes& bc,
-                            const std::vector<std::vector<std::uint32_t>>&,
+                            std::span<const std::uint32_t> /*new_bits*/,
                             double* field) const {
   reconstruct_impl(h, bc, field);
 }

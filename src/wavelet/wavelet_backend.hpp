@@ -32,7 +32,6 @@ class WaveletBackend final : public ProgressiveBackend {
   std::vector<std::uint64_t> level_counts(const Dims& block_dims) const override;
   bool has_aux_segment() const override { return true; }
   bool needs_work_buffer() const override { return false; }
-  bool wants_delta() const override { return false; }
   Bytes metadata(const Header& h) const override;
   void validate_metadata(const Header& h) const override;
   double amplification(const Header& h, ErrorModel model,
@@ -52,10 +51,10 @@ class WaveletBackend final : public ProgressiveBackend {
   void reconstruct(const Header& h, const BlockCodes& bc,
                    double* field) const override;
   void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
+              std::span<const std::uint32_t> new_bits,
               float* field) const override;
   void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
+              std::span<const std::uint32_t> new_bits,
               double* field) const override;
 };
 

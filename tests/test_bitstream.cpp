@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "io/bitstream.hpp"
 #include "util/rng.hpp"
 
@@ -107,6 +110,61 @@ TEST(BitStream, BitCountTracksProgress) {
   EXPECT_EQ(w.bit_count(), 13u);
   w.put_bits(0, 64);
   EXPECT_EQ(w.bit_count(), 77u);
+}
+
+/// Bit `i` of an LSB-first stream (zero past the end).
+std::uint64_t stream_bit(const Bytes& b, std::size_t i) {
+  return i < b.size() * 8 ? (b[i / 8] >> (i % 8)) & 1u : 0u;
+}
+
+TEST(BitStream, ReadsEndingAtEachOfTheLastSixteenBytes) {
+  // The reader refills a whole word while 8 or more bytes remain and byte by
+  // byte after that; reads ending anywhere in the last 16 bytes cross that
+  // switch at every offset.
+  Rng rng(17);
+  Bytes b(40);
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t last = b.size() - 16; last < b.size(); ++last) {
+    const std::size_t stop = (last + 1) * 8;
+    for (unsigned chunk : {1u, 3u, 7u, 13u, 32u, 56u, 64u}) {
+      BitReader r({b.data(), b.size()});
+      for (std::size_t pos = 0; pos < stop;) {
+        const unsigned n = static_cast<unsigned>(std::min<std::size_t>(chunk, stop - pos));
+        std::uint64_t want = 0;
+        for (unsigned i = 0; i < n; ++i) want |= stream_bit(b, pos + i) << i;
+        ASSERT_EQ(r.get_bits(n), want) << "last " << last << " chunk " << chunk;
+        pos += n;
+      }
+      EXPECT_EQ(r.bits_consumed(), stop);
+      std::uint64_t next = 0;
+      for (unsigned i = 0; i < 12; ++i) next |= stream_bit(b, stop + i) << i;
+      EXPECT_EQ(r.peek_bits(12), next);
+    }
+  }
+}
+
+TEST(BitStream, SixtyFourPaddingBitsThenThrow) {
+  // Past the data, exactly 64 zero bits may be read (whatever the stream
+  // length and read alignment); the next read throws.
+  Rng rng(18);
+  for (std::size_t size = 0; size <= 20; ++size) {
+    Bytes b(size);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_u64());
+    for (unsigned chunk : {1u, 5u, 8u, 32u}) {
+      BitReader r({b.data(), b.size()});
+      std::size_t pos = 0;
+      const std::size_t limit = size * 8 + 64;
+      while (pos < limit) {
+        const unsigned n = static_cast<unsigned>(std::min<std::size_t>(chunk, limit - pos));
+        std::uint64_t want = 0;
+        for (unsigned i = 0; i < n; ++i) want |= stream_bit(b, pos + i) << i;
+        ASSERT_EQ(r.get_bits(n), want) << "size " << size << " chunk " << chunk;
+        pos += n;
+      }
+      EXPECT_EQ(r.bits_consumed(), limit);
+      EXPECT_THROW(r.get_bit(), std::runtime_error) << "size " << size;
+    }
+  }
 }
 
 }  // namespace
