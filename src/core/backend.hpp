@@ -93,11 +93,6 @@ class ProgressiveBackend {
   /// that must be fetched with the base segments.
   virtual bool has_aux_segment() const = 0;
 
-  /// Whether compress_block() reads/writes the `work` buffer (a mutable copy
-  /// of the field).  Backends that transform into their own scratch return
-  /// false and the driver skips the field-sized copy entirely.
-  virtual bool needs_work_buffer() const { return true; }
-
   /// Opaque metadata stored in v3 headers (empty for v1/v2 backends).
   virtual Bytes metadata(const Header& h) const = 0;
   /// Validate a parsed metadata blob; throws std::runtime_error on a forged
@@ -110,10 +105,16 @@ class ProgressiveBackend {
                                unsigned l) const = 0;
 
   /// Compress one block.  `original` points at the block's origin element
-  /// inside the enclosing field addressed by `estrides`; `work` is the
-  /// matching mutable copy of the field the backend may overwrite (interp
-  /// keeps its in-loop reconstruction there).  Runs concurrently across
-  /// blocks: implementations must only touch their own block's elements.
+  /// inside an array addressed by `estrides`; `work` is the matching mutable
+  /// array the backend may overwrite (interp keeps its in-loop
+  /// reconstruction there).  The two may be the same array:
+  /// compress() passes one dense tile holding the block, with
+  /// `estrides = block_dims.strides()`, for both.  That aliasing is safe
+  /// because interp reads each original value before its own visit
+  /// overwrites it, and transform backends never write `work`.  Callers may
+  /// also pass the enclosing field and a separate copy of it, with the
+  /// field's strides.  Runs concurrently across blocks: implementations must
+  /// only touch their own block's elements.
   virtual BlockCompressResult compress_block(
       const float* original, float* work, const Dims& block_dims,
       const std::array<std::size_t, kMaxRank>& estrides, double eb,

@@ -5,6 +5,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "bitplane/bitplane.hpp"
+#include "coding/codec.hpp"
 #include "core/backend.hpp"
 #include "core/blocks.hpp"
 #include "core/header.hpp"
@@ -52,18 +54,16 @@ std::pair<double, double> min_max(NdConstView<T> v) {
   return {lo, hi};
 }
 
-/// Copy block `b`'s region of the field into the work buffer, line by line
-/// (lines run along the contiguous last dimension).
+/// Gather the block of extents `bd` at field offset `org` into the dense
+/// tile `dst` (row-major over `bd`), one contiguous line at a time.
 template <typename T>
-void copy_block(const T* src, T* dst, const BlockGrid& grid, std::size_t b,
-                const std::array<std::size_t, kMaxRank>& estrides) {
-  const Dims bd = grid.block_dims(b);
-  const std::size_t org = grid.origin_linear(b);
+void gather_block(const T* src, T* dst, const Dims& bd, std::size_t org,
+                  const std::array<std::size_t, kMaxRank>& estrides) {
   const std::size_t row = bd[bd.rank() - 1];
   if (row == 0) return;
   parallel_for(0, bd.count() / row, [&](std::size_t line) {
-    const std::size_t off = org + block_line_offset(bd, estrides, line);
-    std::copy_n(src + off, row, dst + off);
+    std::copy_n(src + org + block_line_offset(bd, estrides, line), row,
+                dst + line * row);
   }, /*grain=*/64);
 }
 
@@ -99,6 +99,15 @@ double resolve_error_bound(NdConstView<T> input, const Options& opt) {
 
 template <typename T>
 Bytes compress(NdConstView<T> input, const Options& opt) {
+  // Reject bad options before any work.  The header stores the prefix width
+  // as a u8, so 256 would read back as 0 (no predictive decode) and silently
+  // corrupt every plane; widths past the plane count XOR nothing more.
+  if (opt.prefix_bits > kPlaneCount) {
+    throw std::invalid_argument("ipcomp: prefix_bits must be <= 32");
+  }
+  if (!codec_policy_known(static_cast<std::uint8_t>(opt.codec))) {
+    throw std::invalid_argument("ipcomp: unknown codec policy");
+  }
   const ProgressiveBackend& backend = backend_for(opt.backend);
   const Dims dims = input.dims();
   // One write path: side 0 (the default) asks for the whole field, which
@@ -116,16 +125,6 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
   auto [lo, hi] = min_max(input);
   const double eb = resolve_error_bound(opt, lo, hi);
 
-  // The work buffer is a mutable copy of the field (interp keeps its in-loop
-  // reconstruction there); transform backends never touch it, so skip the
-  // field-sized allocation for them.  It is allocated uninitialized and each
-  // block copies its own region inside the parallel block loop, which
-  // spreads the copy and its first-touch page faults over the threads.
-  std::unique_ptr<T[]> xhat;
-  if (backend.needs_work_buffer()) {
-    xhat = std::make_unique_for_overwrite<T[]>(dims.count());
-  }
-  T* const work = xhat.get();
   const T* original = input.data();
   const auto estrides = dims.strides();
 
@@ -148,20 +147,25 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
                                                         : kArchiveV3);
   builder.set_integrity(opt.integrity);
 
-  // The whole pipeline runs per block, concurrently.  grain=2 keeps a lone
-  // block (the whole-field default) out of a parallel region so its inner
-  // loops can still use the pool.
+  // The whole pipeline runs per block, concurrently, blocks handed out as
+  // workers free up.  Each worker gathers its block into a dense tile sized
+  // to one block (block 0 is never clipped, so it is the largest) and
+  // compresses it in place: original and work are the same tile (see
+  // ProgressiveBackend::compress_block).  A lone block (the whole-field
+  // default) runs outside a parallel region on one field-sized tile, so its
+  // gather and inner loops use the pool.
+  const std::size_t tile_count = grid.block_dims(0).count();
   std::vector<BlockCompressResult> results(grid.n_blocks);
-  // The block copy is nested (serial) inside the loop, and runs in parallel
-  // for a lone block.
-  parallel_for(0, grid.n_blocks, [&](std::size_t b) {
-    const std::size_t org = grid.origin_linear(b);
-    if (work) copy_block(original, work, grid, b, estrides);
-    results[b] = backend.compress_block(original + org,
-                                        work ? work + org : nullptr,
-                                        grid.block_dims(b), estrides, eb, opt,
-                                        static_cast<std::uint32_t>(b));
-  }, /*grain=*/2);
+  parallel_for_dynamic_ex(
+      0, grid.n_blocks,
+      [&] { return std::make_unique_for_overwrite<T[]>(tile_count); },
+      [&](std::unique_ptr<T[]>& tile, std::size_t b) {
+        const Dims bd = grid.block_dims(b);
+        gather_block(original, tile.get(), bd, grid.origin_linear(b), estrides);
+        results[b] = backend.compress_block(tile.get(), tile.get(), bd,
+                                            bd.strides(), eb, opt,
+                                            static_cast<std::uint32_t>(b));
+      });
   header.block_levels.resize(grid.n_blocks);
   for (std::size_t b = 0; b < grid.n_blocks; ++b) {
     header.block_levels[b] = std::move(results[b].levels);

@@ -14,7 +14,9 @@
 
 namespace ipcomp {
 
-/// Compress a field into a serialized progressive archive.
+/// Compress a field into a serialized progressive archive.  Throws
+/// std::invalid_argument for an unusable bound, block side 1, `prefix_bits`
+/// above the 32 bitplanes, or an unknown codec policy.
 ///
 /// Thread contract: internally-synchronized — safe to call concurrently from
 /// any number of threads over distinct (or even shared, read-only) inputs.

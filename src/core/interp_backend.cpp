@@ -17,9 +17,10 @@ namespace {
 
 /// Full per-block pipeline: interpolation sweep (in-loop quantization) →
 /// negabinary codes + outliers → bitplane split → predictive XOR → codec.
-/// `original` and `work` point at the block's origin element; `estrides` are
-/// the strides of the enclosing field, so the sweep addresses the block as a
-/// strided sub-view in place.
+/// `original` and `work` point at the block's origin element inside arrays
+/// addressed by `estrides`: compress() hands in one dense tile for both
+/// (the visitor reads original[idx] before the sweep overwrites it), while
+/// callers holding the whole field can pass it with the field's strides.
 template <typename T>
 BlockCompressResult compress_impl(const T* original, T* work,
                                   const Dims& block_dims,

@@ -38,7 +38,7 @@ class LinearQuantizer {
         scaled <= -static_cast<double>(kCodeCap)) {
       return false;
     }
-    code = std::llround(scaled);
+    code = round_half_away(scaled);
     const double r = static_cast<double>(pred) + static_cast<double>(code) * two_eb_;
     recon = static_cast<T>(r);
     // Float32 rounding of the reconstruction can push the error past eb;
@@ -47,6 +47,17 @@ class LinearQuantizer {
       return false;
     }
     return true;
+  }
+
+  /// std::llround(x) for |x| < kCodeCap, inline instead of a libm call: add
+  /// the largest double below 0.5 with x's sign, then truncate (the integer
+  /// conversion rounds toward zero).  Exact: a tie k + 0.5 sums to a value
+  /// that rounds up to k + 1, and the largest double below a tie stays
+  /// below k + 1.  The sum must be rounded on its own, never fused with the
+  /// scaling multiply into an FMA: the build compiles ISO C++ (-std=c++20,
+  /// CMAKE_CXX_EXTENSIONS OFF), where GCC contracts no FP expressions.
+  static std::int64_t round_half_away(double x) {
+    return static_cast<std::int64_t>(x + std::copysign(0.49999999999999994, x));
   }
 
   /// Reconstruction from a signed code.

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <exception>
+#include <optional>
 
 #include "util/sync.hpp"
 
@@ -94,6 +95,50 @@ void parallel_for_ex(std::size_t begin, std::size_t end, Fn&& fn,
     }
   }, grain);
   if (eptr) std::rethrow_exception(eptr);
+}
+
+/// Loop over few, coarse and uneven items (e.g. compression blocks), with
+/// per-worker scratch: indices are handed out one at a time as workers free
+/// up (dynamic schedule), and each worker builds one `make_state()` on its
+/// first index and passes it to fn(state, i) for every index it takes.  The
+/// state dies with the loop.  Bodies may throw: as in parallel_for_ex, the
+/// first exception is rethrown on the calling thread after the loop.  A
+/// lone item, one thread or a call from inside a parallel region runs
+/// serially, so the body's own parallel loops still get the pool.  Which
+/// worker runs an index varies from run to run: store results by index.
+template <typename MakeState, typename Fn>
+void parallel_for_dynamic_ex(std::size_t begin, std::size_t end,
+                             MakeState&& make_state, Fn&& fn) {
+  if (end <= begin) return;
+#if defined(_OPENMP)
+  if (end - begin >= 2 && omp_get_max_threads() > 1 && !in_parallel()) {
+    using State = decltype(make_state());
+    std::exception_ptr eptr = nullptr;
+    Mutex mutex;  // guards eptr across the team
+    const std::ptrdiff_t b = static_cast<std::ptrdiff_t>(begin);
+    const std::ptrdiff_t e = static_cast<std::ptrdiff_t>(end);
+#pragma omp parallel
+    {
+      // Built inside the loop body, not before the worksharing loop: a
+      // throwing make_state() must not make its thread skip the loop.
+      std::optional<State> state;
+#pragma omp for schedule(dynamic, 1)
+      for (std::ptrdiff_t i = b; i < e; ++i) {
+        try {
+          if (!state) state.emplace(make_state());
+          fn(*state, static_cast<std::size_t>(i));
+        } catch (...) {
+          LockGuard lock(mutex);
+          if (!eptr) eptr = std::current_exception();
+        }
+      }
+    }
+    if (eptr) std::rethrow_exception(eptr);
+    return;
+  }
+#endif
+  auto state = make_state();
+  for (std::size_t i = begin; i < end; ++i) fn(state, i);
 }
 
 }  // namespace ipcomp

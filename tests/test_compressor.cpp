@@ -302,18 +302,40 @@ TEST(Compressor, HeaderSerializationRoundTrip) {
 
 TEST(Compressor, PrefixBitsVariantsRoundTrip) {
   auto field = smooth_field(Dims{32, 32, 16}, 12, 0.02);
-  for (unsigned prefix : {0u, 1u, 2u, 3u}) {
-    Options opt;
-    opt.error_bound = 1e-4;
+  Options opt;
+  opt.error_bound = 1e-4;
+  // The header stores the width as a u8: unchecked, 256 was written as 0
+  // and the reader skipped predictive decoding of every plane.
+  for (unsigned prefix : {33u, 256u}) {
+    opt.prefix_bits = prefix;
+    EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument)
+        << "prefix=" << prefix;
+  }
+  for (unsigned prefix = 0; prefix <= kPlaneCount; ++prefix) {
     opt.prefix_bits = prefix;
     Bytes archive = compress(field.const_view(), opt);
     MemorySource src(std::move(archive));
     ProgressiveReader<double> reader(src);
+    EXPECT_EQ(reader.header().prefix_bits, prefix);
+    const auto partial = reader.retrieve(Request::error_bound(1e-3));
+    EXPECT_LE(linf(field.const_view(), reader.data()),
+              partial.guaranteed_error * (1 + 1e-9))
+        << "prefix=" << prefix;
     reader.retrieve(Request::full());
     double range = testutil::value_range(field.const_view());
     EXPECT_LE(linf(field.const_view(), reader.data()), 1e-4 * range * (1 + 1e-9))
         << "prefix=" << prefix;
   }
+}
+
+TEST(Compressor, UnknownCodecPolicyRejected) {
+  // Several blocks at the default thread count: the codec used to throw
+  // inside the parallel block loop and terminate the process.
+  auto field = smooth_field(Dims{64, 64}, 15, 0.02);
+  Options opt;
+  opt.block_side = 16;
+  opt.codec = static_cast<CodecPolicy>(7);
+  EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument);
 }
 
 TEST(Compressor, FileBackedArchive) {

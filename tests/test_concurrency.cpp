@@ -285,6 +285,45 @@ TEST(Concurrency, ParallelForExConcurrentThrow) {
   EXPECT_EQ(caught.load(), kThreads);
 }
 
+// parallel_for_dynamic_ex from concurrent threads: every index runs once,
+// no more states are built than workers, each state is only ever used by
+// one worker at a time, and the first exception reaches the caller.
+TEST(Concurrency, ParallelForDynamicExStatesAndThrow) {
+  constexpr std::size_t kN = 257;
+  std::atomic<int> caught{0};
+  race([&](int t) {
+    std::vector<std::atomic<int>> visits(kN);
+    std::atomic<int> states{0};
+    parallel_for_dynamic_ex(
+        0, kN,
+        [&] {
+          states.fetch_add(1, std::memory_order_relaxed);
+          return std::make_unique<std::atomic<int>>(0);
+        },
+        [&](std::unique_ptr<std::atomic<int>>& busy, std::size_t i) {
+          EXPECT_EQ(busy->fetch_add(1), 0);
+          visits[i].fetch_add(1, std::memory_order_relaxed);
+          busy->fetch_sub(1);
+        });
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
+    EXPECT_GE(states.load(), 1);
+    EXPECT_LE(states.load(), thread_count());
+    try {
+      parallel_for_dynamic_ex(
+          0, kN, [] { return 0; },
+          [&](int&, std::size_t i) {
+            if (i == static_cast<std::size_t>(100 + t)) {
+              throw std::runtime_error("boom " + std::to_string(t));
+            }
+          });
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "boom " + std::to_string(t));
+      caught.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(caught.load(), kThreads);
+}
+
 // The sync.hpp primitives themselves: Mutex mutual exclusion and CondVar
 // wakeup, raced directly.
 TEST(Concurrency, MutexAndCondVarWrappers) {
