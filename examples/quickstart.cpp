@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   report("full             ", reader.retrieve(Request::full()));
 
   std::cout << "\nEvery refinement reused the planes already in memory and\n"
-               "decompressed in a single pass (paper Algorithms 1 & 2).\n";
+               "rebuilt the field from the resident codes (paper Algorithm 1).\n";
 
   // 4. The same lifecycle over the network: a loopback daemon serving the
   // archive, a RemoteReader running plan/execute against it.  Refinements
@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
   server.export_memory("density", std::move(archive));
   server.start();
 
-  // Byte-identity holds for the *same* request sequence (float accumulation
-  // differs across different refinement paths, local or remote alike).
+  // The output depends only on the planes each block holds, so the remote
+  // reader ends on exactly the local reader's full reconstruction.
   net::RemoteReader<double> remote(server.address(), "density");
   RetrievalStats st = remote.retrieve(Request::error_bound(coarse_target));
   const std::uint64_t first_wire = remote.archive().last_payload_bytes();

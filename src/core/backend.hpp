@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -75,7 +74,7 @@ inline bool block_outlier(const BlockCodes& bc, unsigned li, std::size_t slot,
 
 /// Thread contract: const-safe and stateless.  Implementations hold no
 /// mutable members, so one registered instance serves every thread; the
-/// compress/reconstruct/refine hooks run concurrently across blocks and
+/// compress_block/reconstruct hooks run concurrently across blocks and
 /// across independent compressions, and must stay reentrant (block-local
 /// scratch only — see compress_block).
 class ProgressiveBackend {
@@ -124,25 +123,14 @@ class ProgressiveBackend {
       const std::array<std::size_t, kMaxRank>& estrides, double eb,
       const Options& opt, std::uint32_t block) const = 0;
 
-  /// First reconstruction of one block from its (partial) codes, written
-  /// into the enclosing field at the block's strided span.
+  /// Reconstruction of one block from its (partial) codes, written into the
+  /// enclosing field at the block's strided span.  The reader calls this
+  /// again whenever a block gains planes, so the output is a pure function
+  /// of the codes each block holds — never of the order requests came in.
   virtual void reconstruct(const Header& h, const BlockCodes& bc,
                            float* field) const = 0;
   virtual void reconstruct(const Header& h, const BlockCodes& bc,
                            double* field) const = 0;
-
-  /// Incremental refinement after new planes were deposited into bc.codes.
-  /// `new_bits[li]` has a bit set for each plane newly added at level li
-  /// (0 = nothing new there).  New planes occupy bit positions that were
-  /// zero before, so a slot's added code bits are `codes[li][slot] &
-  /// new_bits[li]`.  Must leave the block's span of `field` in (numerically
-  /// near-)identical state to a fresh reconstruct() from the updated codes.
-  virtual void refine(const Header& h, const BlockCodes& bc,
-                      std::span<const std::uint32_t> new_bits,
-                      float* field) const = 0;
-  virtual void refine(const Header& h, const BlockCodes& bc,
-                      std::span<const std::uint32_t> new_bits,
-                      double* field) const = 0;
 };
 
 /// Registry lookup; throws std::runtime_error for an unregistered id.

@@ -1,14 +1,11 @@
 #include "core/interp_backend.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "bitplane/bitplane.hpp"
 #include "bitplane/negabinary.hpp"
-#include "core/blocks.hpp"
 #include "interp/sweep.hpp"
 #include "quant/quantizer.hpp"
-#include "util/parallel.hpp"
 #include "util/sync.hpp"
 
 namespace ipcomp {
@@ -103,8 +100,8 @@ BlockCompressResult compress_impl(const T* original, T* work,
   return out;
 }
 
-/// First reconstruction: a full sweep from the (partial) codes, outliers
-/// restored exactly (Algorithm 1).
+/// Reconstruction: a full sweep from the (partial) codes, outliers restored
+/// exactly (Algorithm 1).  Runs again whenever the block gains planes.
 template <typename T>
 void reconstruct_impl(const Header& h, const BlockCodes& bc, T* field) {
   const LevelStructure ls = LevelStructure::analyze(bc.dims);
@@ -116,45 +113,6 @@ void reconstruct_impl(const Header& h, const BlockCodes& bc, T* field) {
         if (block_outlier(bc, li, slot, raw)) return static_cast<T>(raw);
         return quant.dequantize(pred, negabinary_decode(bc.codes[li][slot]));
       });
-}
-
-/// Refinement: sweep only the newly added code bits (codes masked to the
-/// new planes) into a block-local dense delta buffer, then add it onto the
-/// block's strided span of the field — the cost stays proportional to the
-/// block, not the field (matters for region-scoped requests).  Always swept
-/// in double so incremental refinement of float archives loses at most one
-/// rounding at the final addition.
-template <typename T>
-void refine_impl(const Header& h, const BlockCodes& bc,
-                 std::span<const std::uint32_t> new_bits, T* field) {
-  const LevelStructure ls = LevelStructure::analyze(bc.dims);
-  const double step = 2.0 * h.eb;
-  // Uninitialized: the sweep writes every slot before any prediction reads it.
-  const auto dblock = std::make_unique_for_overwrite<double[]>(ls.dims.count());
-  interpolation_sweep(
-      dblock.get(), ls, h.interp,
-      [&](unsigned li, std::size_t slot, std::size_t /*idx*/,
-          double pred) -> double {
-        double raw;
-        if (block_outlier(bc, li, slot, raw)) return 0.0;  // outliers are exact
-        const std::uint32_t mask = new_bits[li];
-        if (mask == 0) return pred;  // no new bits at this level
-        const double dy =
-            static_cast<double>(negabinary_decode(bc.codes[li][slot] & mask)) * step;
-        return pred + dy;
-      });
-
-  const auto field_strides = h.dims.strides();
-  const Dims& bd = ls.dims;
-  const std::size_t row = bd[bd.rank() - 1];  // contiguous in the field too
-  const std::size_t lines = bd.count() / row;
-  parallel_for(0, lines, [&](std::size_t line) {
-    const double* src = dblock.get() + line * row;
-    T* dst = field + bc.origin + block_line_offset(bd, field_strides, line);
-    for (std::size_t i = 0; i < row; ++i) {
-      dst[i] = static_cast<T>(static_cast<double>(dst[i]) + src[i]);
-    }
-  }, /*grain=*/std::max<std::size_t>(1, 32768 / row));
 }
 
 }  // namespace
@@ -193,18 +151,6 @@ void InterpBackend::reconstruct(const Header& h, const BlockCodes& bc,
 void InterpBackend::reconstruct(const Header& h, const BlockCodes& bc,
                                 double* field) const {
   reconstruct_impl(h, bc, field);
-}
-
-void InterpBackend::refine(const Header& h, const BlockCodes& bc,
-                           std::span<const std::uint32_t> new_bits,
-                           float* field) const {
-  refine_impl(h, bc, new_bits, field);
-}
-
-void InterpBackend::refine(const Header& h, const BlockCodes& bc,
-                           std::span<const std::uint32_t> new_bits,
-                           double* field) const {
-  refine_impl(h, bc, new_bits, field);
 }
 
 }  // namespace ipcomp

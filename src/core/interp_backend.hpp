@@ -3,8 +3,11 @@
 // Write side: multi-level interpolation sweep with in-loop quantization
 // (paper §4.1/§4.2) producing per-level negabinary codes + outliers, then the
 // shared bitplane/codec stages.  Read side: the same sweep driven by
-// dequantized codes (Algorithm 1), and a delta sweep over newly deposited
-// bits for incremental refinement (Algorithm 2).  This backend is the
+// dequantized codes (Algorithm 1), re-run from the resident codes each time
+// a block gains planes.  The paper's Algorithm 2 delta sweep is not used:
+// with every code resident it sweeps just as much and rounds once more per
+// step, so stepwise retrieval would drift from a one-shot decode.  This
+// backend is the
 // behavior-preserving refactor of the original hardwired pipeline: archives
 // are byte-identical to those written before the seam existed (v2; the
 // whole field is now written as a one-block v2 grid, and legacy v1
@@ -40,12 +43,6 @@ class InterpBackend final : public ProgressiveBackend {
                    float* field) const override;
   void reconstruct(const Header& h, const BlockCodes& bc,
                    double* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              std::span<const std::uint32_t> new_bits,
-              float* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              std::span<const std::uint32_t> new_bits,
-              double* field) const override;
 };
 
 }  // namespace ipcomp

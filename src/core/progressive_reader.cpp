@@ -214,10 +214,6 @@ void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
                                                   FetchedBlock& fetched) {
   BlockState& bs = blocks_[b];
   const auto& levels = levels_of(b);
-  // Bit k of new_bits[li] marks plane k as newly deposited at level li:
-  // refine() reads the added code bits as codes & new_bits.
-  std::vector<std::uint32_t> new_bits(levels.size(), 0);
-
   // All newly fetched planes of a level go through one batch: decompress,
   // predictive-decode MSB-first on the packed buffers, then a single
   // multi-plane transpose deposit into the codes instead of one full pass
@@ -248,7 +244,6 @@ void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
     std::vector<PlaneSpan> spans(newp.size());
     for (std::size_t i = 0; i < newp.size(); ++i) {
       spans[i] = {newp[i].first, {newp[i].second.data(), newp[i].second.size()}};
-      new_bits[li] |= std::uint32_t{1} << newp[i].first;
     }
     deposit_planes(bs.bc.codes[li], spans);
     bs.planes_used[li] =
@@ -258,13 +253,11 @@ void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
     std::vector<std::pair<unsigned, Bytes>>().swap(newp);
   }
 
-  if (!bs.have_recon) {
+  // Rebuild the block from every code it now holds, never add a delta: see
+  // the header comment (same cost, no drift from a one-shot decode).
+  if (fetched.has_base || !fetched.planes.empty()) {
     backend_->reconstruct(header_, bs.bc, xhat_.data());
-    bs.have_recon = true;
-    return;
   }
-  if (fetched.planes.empty()) return;
-  backend_->refine(header_, bs.bc, new_bits, xhat_.data());
 }
 
 template <typename T>
@@ -544,7 +537,7 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
   if (mirror_) {
     throw std::logic_error(
         "execute: reader is a plan-pricing mirror (acknowledge() ran); it "
-        "holds no decoded state to refine");
+        "holds no decoded state to update");
   }
   const std::size_t entry = src_.stats().bytes_read;
 

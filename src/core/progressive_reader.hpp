@@ -10,11 +10,13 @@
 //     guaranteed error, per-level plane targets);
 //   * execute(plan) fetches exactly the planned segments through a single
 //     SegmentSource::read_many call (FileSource coalesces adjacent ranges
-//     into bulk reads) and hands the new bits to the archive's
-//     ProgressiveBackend: a full backend reconstruction from the partial
-//     codes on a block's first touch (Algorithm 1), incremental refinement
-//     afterwards (Algorithm 2 for the interpolation backend; transform
-//     backends may simply rebuild the block).
+//     into bulk reads), deposits the new planes into each touched block's
+//     resident codes, and has the archive's ProgressiveBackend reconstruct
+//     that block again from all of its codes (Algorithm 1).  The paper's
+//     Algorithm 2 adds a delta swept from the new bits only; with every code
+//     resident that sweep costs as much as a full one and rounds once more
+//     per step, so the reader always rebuilds: the output depends only on
+//     the planes each block holds, bitwise equal to a one-shot decode.
 // retrieve(Request) is the one-call combinator (execute(plan(req))).  The
 // legacy request_* spellings of the same thing were deprecated and have been
 // removed; build a Request instead.
@@ -144,7 +146,6 @@ class ProgressiveReader {
     BlockCodes bc;
     std::vector<unsigned> planes_used;  // per level, from the top
     bool base_loaded = false;
-    bool have_recon = false;
   };
 
   /// Raw (still compressed) segment bytes fetched for one block by the
@@ -162,8 +163,8 @@ class ProgressiveReader {
   }
 
   void decode_base(std::size_t b, FetchedBlock& fetched);
-  /// Decode fetched planes into the block's codes, then hand the block to
-  /// the backend (full reconstruct on first touch, refine afterwards).
+  /// Decode fetched planes into the block's codes, then have the backend
+  /// reconstruct the block from its codes when it gained a base or planes.
   void decode_and_reconstruct(std::size_t b, FetchedBlock& fetched);
   std::vector<LevelPlanInput> planner_inputs() const;
   RetrievalStats finish_stats(std::size_t before);

@@ -49,12 +49,6 @@ class WaveletBackend final : public ProgressiveBackend {
                    float* field) const override;
   void reconstruct(const Header& h, const BlockCodes& bc,
                    double* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              std::span<const std::uint32_t> new_bits,
-              float* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              std::span<const std::uint32_t> new_bits,
-              double* field) const override;
 };
 
 }  // namespace ipcomp

@@ -132,24 +132,6 @@ TEST(WaveletBackend, FloatRoundTripWithinBound) {
   EXPECT_LE(linf(field.const_view(), reader.data()), eb * (1 + 1e-6));
 }
 
-TEST(WaveletBackend, StepwiseEndsIdenticalToOneShot) {
-  // Wavelet refinement rebuilds from the updated codes, so a stepwise
-  // retrieval must end bitwise identical to a one-shot full request.
-  auto field = smooth_field(Dims{36, 30, 14}, 11, 0.03);
-  Options opt;
-  opt.backend = BackendId::kWavelet;
-  opt.error_bound = 1e-7;
-  opt.progressive_threshold = 128;
-  Bytes archive = compress(field.const_view(), opt);
-  MemorySource a{Bytes(archive)}, b{Bytes(archive)};
-  ProgressiveReader<double> stepwise(a), oneshot(b);
-  const double eb = stepwise.header().eb;
-  for (double f : {1e5, 1e3, 1e1}) stepwise.retrieve(Request::error_bound(f * eb));
-  stepwise.retrieve(Request::full());
-  oneshot.retrieve(Request::full());
-  EXPECT_EQ(stepwise.data(), oneshot.data());
-}
-
 TEST(WaveletBackend, RegionRetrievalReadsOnlyIntersectingBlocks) {
   auto field = smooth_field(Dims{48, 40, 33}, 13, 0.02);
   Options opt;

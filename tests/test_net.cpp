@@ -57,6 +57,16 @@ std::string write_temp_archive(const Bytes& archive, const std::string& name) {
   return path;
 }
 
+/// A one-shot Request::full() decode through a private local reader: what
+/// any request sequence ending on Request::full() must reproduce bitwise
+/// (the output depends only on the planes each block holds).
+std::vector<double> oneshot_full(const Bytes& archive) {
+  MemorySource src{Bytes(archive)};
+  ProgressiveReader<double> reader(src);
+  reader.retrieve(Request::full());
+  return reader.data();
+}
+
 // ---- MmapSource -----------------------------------------------------------
 
 TEST(MmapSource, PayloadsAndStatsMatchFileSource) {
@@ -153,8 +163,8 @@ TEST(MmapSource, EmptyAndTruncatedFilesRejectLikeFileSource) {
 
 TEST(MmapSource, ReaderOverMmapMatchesFileReader) {
   auto field = smooth_field(Dims{24, 20, 16}, 75, 0.05);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_reader.ipc");
+  const Bytes archive = make_archive(field, 1e-6, 8);
+  const std::string path = write_temp_archive(archive, "ipc_mmap_reader.ipc");
 
   FileSource fs(path);
   MmapSource ms(path);
@@ -168,13 +178,13 @@ TEST(MmapSource, ReaderOverMmapMatchesFileReader) {
     EXPECT_EQ(sa.bytes_total, sb.bytes_total);
     EXPECT_EQ(a.data(), b.data());
   }
+  EXPECT_EQ(a.data(), oneshot_full(archive));
 }
 
 // ---- loopback client/server -----------------------------------------------
 
-/// The mixed request sequence every identity test replays on both sides
-/// (byte-identity holds per-sequence: float accumulation differs across
-/// different refinement paths, local or remote alike).
+/// The mixed request sequence every identity test replays on both sides;
+/// it ends on Request::full(), so it also ends on oneshot_full().
 std::vector<Request> mixed_traffic() {
   return {
       Request::error_bound(1e-2),
@@ -184,16 +194,17 @@ std::vector<Request> mixed_traffic() {
   };
 }
 
-/// Replays `traffic` on a remote reader and an isolated local reader,
-/// asserting plan equality, stats equality, reconstruction equality, and
-/// that every refinement's wire payload equals the plan's predicted
-/// bytes_new (the first request additionally carries the open cost in its
-/// price but not on the wire — the OPEN reply already delivered it).
+/// Replays mixed_traffic() on a remote reader and an isolated local reader
+/// of `archive`, asserting plan equality, stats equality, reconstruction
+/// equality, and that every refinement's wire payload equals the plan's
+/// predicted bytes_new (the first request additionally carries the open cost
+/// in its price but not on the wire — the OPEN reply already delivered it).
+/// The final reconstruction must equal a one-shot full decode.
 void assert_remote_matches_local(net::RemoteReader<double>& remote,
                                  ProgressiveReader<double>& local,
-                                 const std::vector<Request>& traffic) {
+                                 const Bytes& archive) {
   bool first = true;
-  for (const Request& req : traffic) {
+  for (const Request& req : mixed_traffic()) {
     RetrievalPlan lp = local.plan(req);
     RetrievalPlan rp = remote.plan(req);
     ASSERT_EQ(lp.segments, rp.segments);
@@ -213,6 +224,7 @@ void assert_remote_matches_local(net::RemoteReader<double>& remote,
     EXPECT_EQ(wire, first ? rs.bytes_new - open_cost : rs.bytes_new);
     first = false;
   }
+  EXPECT_EQ(remote.data(), oneshot_full(archive));
 }
 
 TEST(Net, RemoteMatchesLocalReaderMemoryBacked) {
@@ -226,7 +238,7 @@ TEST(Net, RemoteMatchesLocalReaderMemoryBacked) {
   MemorySource src{Bytes(archive)};
   ProgressiveReader<double> local(src);
   net::RemoteReader<double> remote(server.address(), "density");
-  assert_remote_matches_local(remote, local, mixed_traffic());
+  assert_remote_matches_local(remote, local, archive);
 
   // The remote client priced exactly what a local reader would have.
   EXPECT_EQ(remote.archive().source().stats().bytes_read,
@@ -248,7 +260,7 @@ TEST(Net, RemoteMatchesLocalReaderFileMmapBacked) {
   MemorySource src{Bytes(archive)};
   ProgressiveReader<double> local(src);
   net::RemoteReader<double> remote(server.address(), "density");
-  assert_remote_matches_local(remote, local, mixed_traffic());
+  assert_remote_matches_local(remote, local, archive);
 
   const net::ServeStats st = server.stats();
   EXPECT_GT(st.payload_bytes_sent, 0u);
@@ -271,7 +283,7 @@ TEST(Net, RemoteMatchesLocalReaderFileFreadBacked) {
   MemorySource src{Bytes(archive)};
   ProgressiveReader<double> local(src);
   net::RemoteReader<double> remote(server.address(), "density");
-  assert_remote_matches_local(remote, local, mixed_traffic());
+  assert_remote_matches_local(remote, local, archive);
   server.stop();
 }
 
@@ -770,6 +782,7 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   local.retrieve(Request::bytes(3000));
   local.retrieve(Request::full());
   EXPECT_EQ(local.data(), remote.data());
+  EXPECT_EQ(remote.data(), oneshot_full(archive));
   server.stop();
 }
 
@@ -846,6 +859,7 @@ TEST(Fault, ServerFaultSeedSoakStaysByteIdentical) {
     remote->retrieve(req);
     ASSERT_EQ(local.data(), remote->data());
   }
+  EXPECT_EQ(remote->data(), oneshot_full(archive));
   EXPECT_GE(server.stats().connections_accepted, 1u);
   server.stop();
 }
@@ -872,12 +886,14 @@ TEST(Net, MultiClientStress) {
     if (shape == 3) r.retrieve(Request::error_bound(1e-3));
     r.retrieve(Request::full());
   };
+  const std::vector<double> oneshot = oneshot_full(archive);
   std::vector<std::vector<double>> want(4);
   for (int shape = 0; shape < 4; ++shape) {
     MemorySource ref_src{Bytes(archive)};
     ProgressiveReader<double> ref(ref_src);
     run_shape(ref, shape);
     want[static_cast<std::size_t>(shape)] = ref.data();
+    ASSERT_EQ(ref.data(), oneshot) << "shape " << shape;
   }
 
   net::ServerConfig cfg;

@@ -3,6 +3,8 @@
 // equivalence between request orderings.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "ipcomp.hpp"
 #include "mgard/mgard.hpp"
 #include "test_util.hpp"
@@ -45,21 +47,118 @@ TEST(ProgressiveProperties, ByteAccountingAddsUpAcrossManyRequests) {
   EXPECT_LE(full.bytes_total, fx.archive.size());
 }
 
-TEST(ProgressiveProperties, ManySmallStepsEndAtSameStateAsOneBigStep) {
-  Fixture fx(52);
-  MemorySource a_src{Bytes(fx.archive)}, b_src{Bytes(fx.archive)};
-  ProgressiveReader<double> stepwise(a_src), oneshot(b_src);
-  for (double t : {1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5}) {
-    stepwise.retrieve(Request::error_bound(t));
+// ---- stepwise == one-shot ---------------------------------------------------
+// Every execute() rebuilds the touched blocks from their resident codes, so
+// the output is a function of the plane set alone: any request sequence that
+// ends on Request::full() must end bitwise equal to a one-shot full decode,
+// for every backend, block layout and value type.  Every step along the way
+// must also hold its own guarantee (region-scoped steps inside their box).
+
+enum class Sequence { kLadder, kRegionThenFull, kBytesThenFull };
+
+using StepwiseCase = std::tuple<BackendId, std::size_t, bool, Sequence>;
+
+class StepwiseEqualsOneShot : public ::testing::TestWithParam<StepwiseCase> {};
+
+/// Max |a - b| over the half-open box of `req` (the whole field without one).
+template <typename T>
+double linf_in_scope(NdConstView<T> a, const std::vector<T>& b,
+                     const Request& req) {
+  if (!req.region) return linf(a, b);
+  const Dims& dims = a.dims();
+  const auto strides = dims.strides();
+  double m = 0;
+  for (std::size_t i = 0; i < dims.count(); ++i) {
+    bool inside = true;
+    std::size_t rem = i;
+    for (std::size_t d = 0; d < dims.rank(); ++d) {
+      const std::size_t c = rem / strides[d];
+      rem %= strides[d];
+      inside = inside && c >= req.region->lo[d] && c < req.region->hi[d];
+    }
+    if (inside) {
+      m = std::max(m, std::abs(static_cast<double>(a[i]) -
+                               static_cast<double>(b[i])));
+    }
   }
-  stepwise.retrieve(Request::full());
-  oneshot.retrieve(Request::full());
-  // Full load ends in the identical plane state; outputs agree to rounding.
-  const double range = testutil::value_range(fx.field.const_view());
-  EXPECT_LE(linf(oneshot.data(), stepwise.data()), 1e-12 * range);
-  // And both hold the full-fidelity guarantee.
-  EXPECT_LE(linf(fx.field.const_view(), stepwise.data()), fx.eb * (1 + 1e-9));
+  return m;
 }
+
+template <typename T>
+void check_stepwise_equals_oneshot(const StepwiseCase& c) {
+  const auto [backend, block_side, f32, seq] = c;
+  // Whole-field on a 3-d box; blocks of 16 on a shape no axis of which
+  // divides by 16, so edge blocks are ragged.
+  const Dims dims = block_side == 0 ? Dims{36, 24, 24} : Dims{40, 35, 21};
+  auto field = smooth_field<T>(dims, 52, 0.08);
+  Options opt;
+  opt.backend = backend;
+  opt.block_side = block_side;
+  opt.error_bound = f32 ? 1e-5 : 1e-8;
+  opt.relative = false;
+  opt.progressive_threshold = 128;
+  const Bytes archive = compress(field.const_view(), opt);
+  const double eb = opt.error_bound;
+
+  std::vector<Request> steps;
+  switch (seq) {
+    case Sequence::kLadder:
+      for (double f : {1e6, 3e5, 1e5, 1e4, 1e3, 1e1}) {
+        steps.push_back(Request::error_bound(f * eb));
+      }
+      break;
+    case Sequence::kRegionThenFull:
+      steps.push_back(
+          Request::error_bound(100 * eb).within({3, 5, 2}, {20, 17, 13}));
+      break;
+    case Sequence::kBytesThenFull:
+      steps.push_back(Request::bytes(archive.size() / 4));
+      break;
+  }
+  steps.push_back(Request::full());
+
+  MemorySource a_src{Bytes(archive)}, b_src{Bytes(archive)};
+  ProgressiveReader<T> stepwise(a_src), oneshot(b_src);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const RetrievalStats st = stepwise.retrieve(steps[i]);
+    EXPECT_LE(linf_in_scope(field.const_view(), stepwise.data(), steps[i]),
+              st.guaranteed_error)
+        << "step " << i << ": " << to_string(steps[i], dims.rank());
+  }
+  oneshot.retrieve(Request::full());
+  EXPECT_EQ(stepwise.data(), oneshot.data());
+  EXPECT_LE(linf(field.const_view(), oneshot.data()), eb);
+}
+
+TEST_P(StepwiseEqualsOneShot, BitwiseAtFullAndWithinGuaranteeEveryStep) {
+  if (std::get<2>(GetParam())) {
+    check_stepwise_equals_oneshot<float>(GetParam());
+  } else {
+    check_stepwise_equals_oneshot<double>(GetParam());
+  }
+}
+
+std::string stepwise_case_name(
+    const ::testing::TestParamInfo<StepwiseCase>& info) {
+  const auto [backend, block_side, f32, seq] = info.param;
+  const char* seq_name = seq == Sequence::kLadder           ? "ladder"
+                         : seq == Sequence::kRegionThenFull ? "region"
+                                                            : "bytes";
+  return std::string(to_string(backend)) +
+         (block_side == 0 ? "_whole" : "_b" + std::to_string(block_side)) +
+         (f32 ? "_f32_" : "_f64_") + seq_name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, StepwiseEqualsOneShot,
+    ::testing::Combine(::testing::Values(BackendId::kInterp,
+                                         BackendId::kWavelet),
+                       ::testing::Values(std::size_t{0}, std::size_t{16}),
+                       ::testing::Bool(),
+                       ::testing::Values(Sequence::kLadder,
+                                         Sequence::kRegionThenFull,
+                                         Sequence::kBytesThenFull)),
+    stepwise_case_name);
 
 TEST(ProgressiveProperties, InterleavedModeRequestsStayConsistent) {
   Fixture fx(53);

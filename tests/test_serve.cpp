@@ -384,9 +384,9 @@ void archive_set_stress(bool through_file, std::size_t cache_capacity) {
   const Bytes archive = compress(field.const_view(), opt);
 
   // Serial references: each traffic shape below, run through a private
-  // reader.  Refinement order shifts float accumulation at the ~1e-15 level,
-  // so "byte-identical" must compare against the same request sequence, not
-  // against a one-shot full retrieval.
+  // reader.  Every shape ends on Request::full(), and the output depends only
+  // on the planes each block holds, so all four references must also equal a
+  // one-shot full retrieval.
   // Works on ProgressiveReader<double> and Session<double> alike (identical
   // plan/execute/retrieve surface).
   auto run_shape = [](auto& r, int shape) {
@@ -399,6 +399,9 @@ void archive_set_stress(bool through_file, std::size_t cache_capacity) {
     if (shape == 3) r.execute(r.plan(Request::error_bound(1e-3)));
     r.retrieve(Request::full());
   };
+  MemorySource oneshot_src{Bytes(archive)};
+  ProgressiveReader<double> oneshot(oneshot_src);
+  oneshot.retrieve(Request::full());
   std::vector<std::vector<double>> want(4);
   std::size_t isolated_bytes = 0;
   for (int shape = 0; shape < 4; ++shape) {
@@ -406,6 +409,7 @@ void archive_set_stress(bool through_file, std::size_t cache_capacity) {
     ProgressiveReader<double> ref(ref_src);
     run_shape(ref, shape);
     want[static_cast<std::size_t>(shape)] = ref.data();
+    ASSERT_EQ(ref.data(), oneshot.data()) << "shape " << shape;
     // Every path ends at full fidelity and never refetches, so the physical
     // price is the same no matter the route.
     if (shape == 0) {
